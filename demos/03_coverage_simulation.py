@@ -16,7 +16,6 @@ from tverskyci import (
     histogram_summary,
     population_index,
     population_variance,
-    replication_estimates,
     run_simulation,
 )
 
@@ -46,8 +45,7 @@ v = population_variance(model, params)
 print(f"\npredicted spread sqrt(v/n) = {math.sqrt(v / config.n):.7f}")
 
 # The estimates themselves should look normal at this scale.
-estimates = replication_estimates(config)
-summary = histogram_summary(estimates, bins=30)
+summary = histogram_summary(report.estimates, bins=30)
 print(f"\nshape diagnostics: skewness {summary.skewness:+.4f}, "
       f"excess kurtosis {summary.excess_kurtosis:+.4f}")
 peak = max(summary.counts)

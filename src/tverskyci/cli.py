@@ -38,7 +38,6 @@ from .simulation import (
     SimulationConfig,
     bootstrap_se,
     histogram_summary,
-    replication_estimates,
     run_simulation,
 )
 
@@ -330,7 +329,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
         seed=args.seed,
     )
     report = run_simulation(config)
-    estimates = replication_estimates(config)
+    estimates = report.estimates
     histogram = histogram_summary(estimates, bins=args.bins) if estimates.size >= 2 else None
     warnings = []
     if report.degenerate_count:

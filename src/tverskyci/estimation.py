@@ -298,8 +298,9 @@ def summarize(counts: ConfusionCounts, params: TverskyParams) -> SummaryStats:
 # asymptotic variance and confidence intervals
 # ---------------------------------------------------------------------------
 
-# Slack for the summary-consistency check below; exact-count inputs satisfy
-# the inequality to within a few ulps.
+# Slack for the summary-consistency checks below. Each r = 1/t - 1 carries
+# rounding error on the scale of 1/t, not of r, so the slack is relative to
+# the reciprocals; exact counts then pass however close t is to 1.
 _CONSISTENCY_RTOL = 1e-9
 
 
@@ -320,21 +321,30 @@ def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyPar
     and t2 the squared-weight index. Accepts exact counts (summarized
     internally) or ready-made SummaryStats.
 
-    Summary inputs are checked for mutual consistency: the error-odds
-    ratio (1/t2 - 1) / (1/t - 1) is a weighted mean of the two weights, so
-    it can never exceed max(fp_weight, fn_weight).
+    Summary inputs are checked against every bound the counts imply. The
+    error-odds ratio (1/t2 - 1) / (1/t - 1) is a weighted mean of the two
+    weights, so it lies between min and max(fp_weight, fn_weight). And
+    1/t - 1 = (a*fp + b*fn)/tp can be at most max_weight * (1/tp_rate - 1).
     """
     stats = _as_summary(data, params)
     if stats.tp_rate <= 0.0:
         raise DegenerateSampleError(
             "tp_rate is zero; the variance formula divides by the true-positive rate"
         )
-    r1 = 1.0 / stats.tversky - 1.0
-    r2 = 1.0 / stats.tversky_sq - 1.0
-    if r1 > 0.0 and r2 / r1 > params.max_weight * (1.0 + _CONSISTENCY_RTOL):
+    u1, u2 = 1.0 / stats.tversky, 1.0 / stats.tversky_sq
+    r1, r2 = u1 - 1.0, u2 - 1.0
+    lo, hi = min(params.fp_weight, params.fn_weight), params.max_weight
+    tol = _CONSISTENCY_RTOL
+    if r1 > 0.0 and (r2 - hi * r1 > tol * (u2 + hi * u1) or lo * r1 - r2 > tol * (u2 + lo * u1)):
         raise InvalidParameterError(
             "inconsistent summary statistics: (1/tversky_sq - 1)/(1/tversky - 1) "
-            f"= {r2 / r1:.6g} exceeds max weight {params.max_weight:.6g}"
+            f"= {r2 / r1:.6g} lies outside the weight range [{lo:.6g}, {hi:.6g}]"
+        )
+    rate_bound = hi * (1.0 / stats.tp_rate - 1.0)
+    if r1 - rate_bound > tol * (u1 + hi / stats.tp_rate):
+        raise InvalidParameterError(
+            f"inconsistent summary statistics: 1/tversky - 1 = {r1:.6g} exceeds "
+            f"max weight * (1/tp_rate - 1) = {rate_bound:.6g}"
         )
     if r1 == 0.0 and r2 > 0.0:
         # tversky = 1 means an error-free sample, so tversky_sq must be 1 too.

@@ -12,13 +12,20 @@ Two on-disk formats, both line-oriented:
 rejected); ``score`` must be a finite number and is thresholded into a
 prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
+
+Files are streamed line by line and counted as they are parsed, so memory
+does not grow with the number of rows. Input must be UTF-8 (a leading byte
+order mark is ignored); anything else is a DataError. Lines end at ``\n``,
+``\r\n`` or ``\r`` and are numbered from 1 as an editor numbers them;
+blank lines are skipped but still counted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from pathlib import Path
+from collections.abc import Iterator
 
 from .errors import DataError, InvalidParameterError
 from .estimation import ConfusionCounts
@@ -50,6 +57,13 @@ def _parse_score(raw: object, where: str) -> float:
     return value
 
 
+def _prediction(raw: object, resolved: str, threshold: float, where: str) -> int:
+    # The one place a value column becomes a prediction.
+    if resolved == "prediction":
+        return _parse_binary(raw, "a", where)
+    return 1 if _parse_score(raw, where) > threshold else 0
+
+
 def _resolve_mode(requested: str, value_column: str, path: str) -> str:
     found = "prediction" if value_column == "a" else "score"
     if requested != "auto" and requested != found:
@@ -58,20 +72,6 @@ def _resolve_mode(requested: str, value_column: str, path: str) -> str:
             f"but {requested} mode was requested"
         )
     return found
-
-
-def _iter_lines(path: str) -> list[tuple[int, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read file: {exc}") from None
-    rows = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)]
-    rows = [(i, line) for i, line in rows if line]
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    return rows
 
 
 def _json_record(line: str, where: str) -> dict:
@@ -96,33 +96,33 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise InvalidParameterError(f"threshold must be finite, got {threshold!r}")
-    rows = _iter_lines(path)
+    cells = [0, 0, 0, 0]  # tp, fn, fp, tn
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            rows = ((i, line.strip()) for i, line in enumerate(fh, 1))
+            rows = ((i, line) for i, line in rows if line)
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty")
+            parse = _jsonl_pairs if first[1].startswith("{") else _delimited_pairs
+            for z, a in parse(itertools.chain((first,), rows), mode, threshold, path):
+                cells[3 - 2 * z - a] += 1
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
+    if not any(cells):
+        # Only a header can come without records: every JSON line is one.
+        raise DataError(f"{path}: no data rows after the header")
+    return ConfusionCounts(*cells)
 
-    if rows[0][1].startswith("{"):
-        pairs = _ingest_jsonl(rows, mode, path)
-    else:
-        pairs = _ingest_delimited(rows, mode, path)
 
-    tp = fn = fp = tn = 0
-    for z, a, score in pairs:
-        if a is None:
-            a = 1 if score > threshold else 0  # type: ignore[operator]
-        if z == 1:
-            if a == 1:
-                tp += 1
-            else:
-                fn += 1
-        elif a == 1:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, fn, fp, tn)
-
-
-def _ingest_delimited(
-    rows: list[tuple[int, str]], mode: str, path: str
-) -> list[tuple[int, int | None, float | None]]:
-    header_line_no, header = rows[0]
+def _delimited_pairs(
+    rows: Iterator[tuple[int, str]], mode: str, threshold: float, path: str
+) -> Iterator[tuple[int, int]]:
+    header_line_no, header = next(rows)
     delimiter = "\t" if "\t" in header else ","
     columns = [c.strip() for c in header.split(delimiter)]
     where = f"{path}:{header_line_no}"
@@ -138,28 +138,19 @@ def _ingest_delimited(
     resolved = _resolve_mode(mode, value_column, path)
     z_at = columns.index("z")
 
-    if len(rows) == 1:
-        raise DataError(f"{path}: no data rows after the header")
-    out: list[tuple[int, int | None, float | None]] = []
-    for line_no, line in rows[1:]:
-        fields = [f.strip() for f in line.split(delimiter)]
+    for line_no, line in rows:
+        fields = line.split(delimiter)
         where = f"{path}:{line_no}"
         if len(fields) != 2:
             raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
         z = _parse_binary(fields[z_at], "z", where)
-        raw = fields[1 - z_at]
-        if resolved == "prediction":
-            out.append((z, _parse_binary(raw, "a", where), None))
-        else:
-            out.append((z, None, _parse_score(raw, where)))
-    return out
+        yield z, _prediction(fields[1 - z_at], resolved, threshold, where)
 
 
-def _ingest_jsonl(
-    rows: list[tuple[int, str]], mode: str, path: str
-) -> list[tuple[int, int | None, float | None]]:
+def _jsonl_pairs(
+    rows: Iterator[tuple[int, str]], mode: str, threshold: float, path: str
+) -> Iterator[tuple[int, int]]:
     resolved: str | None = None
-    out: list[tuple[int, int | None, float | None]] = []
     for line_no, line in rows:
         where = f"{path}:{line_no}"
         record = _json_record(line, where)
@@ -177,8 +168,4 @@ def _ingest_jsonl(
         elif ("prediction" if value_key == "a" else "score") != resolved:
             raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
         z = _parse_binary(record["z"], "z", where)
-        if resolved == "prediction":
-            out.append((z, _parse_binary(record["a"], "a", where), None))
-        else:
-            out.append((z, None, _parse_score(record["score"], where)))
-    return out
+        yield z, _prediction(record[value_key], resolved, threshold, where)

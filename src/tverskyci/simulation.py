@@ -23,7 +23,7 @@ standard error, not an alternative product feature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,14 +50,12 @@ __all__ = [
     "histogram_summary",
 ]
 
-_SEED_BOUND = 2**64
-
-
-def _require_seed(value: object, name: str = "seed") -> int:
-    seed = _require_count(value, name)
-    if seed >= _SEED_BOUND:
-        raise InvalidParameterError(f"{name} must fit in 64 bits, got {seed}")
-    return seed
+def _require_bits(value: object, name: str, bits: int) -> int:
+    # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.
+    out = _require_count(value, name)
+    if out >= 2**bits:
+        raise InvalidParameterError(f"{name} must fit in {bits} bits, got {out}")
+    return out
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -150,14 +148,14 @@ class SimulationConfig:
             raise InvalidParameterError("model must be a ScoreModel")
         if not isinstance(self.params, TverskyParams):
             raise InvalidParameterError("params must be a TverskyParams")
-        n = _require_count(self.n, "n")
-        reps = _require_count(self.replications, "replications")
+        n = _require_bits(self.n, "n", 63)
+        reps = _require_bits(self.replications, "replications", 63)
         if n < 1 or reps < 1:
             raise InvalidParameterError("n and replications must be >= 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "replications", reps)
         object.__setattr__(self, "level", _require_open_unit(self.level, "level"))
-        object.__setattr__(self, "seed", _require_seed(self.seed))
+        object.__setattr__(self, "seed", _require_bits(self.seed, "seed", 64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +167,8 @@ class SimulationReport:
     than two replications survive) and ``mean_se`` the average analytic
     standard error, so their ratio measures how well the formula tracks
     the true spread. Replications with no true positives are excluded and
-    counted in ``degenerate_count``.
+    counted in ``degenerate_count``. ``estimates`` holds the kept point
+    estimates in replication order; it takes no part in equality.
     """
 
     true_value: float
@@ -178,6 +177,7 @@ class SimulationReport:
     mean_se: float
     coverage: float
     degenerate_count: int
+    estimates: np.ndarray = field(compare=False, repr=False)
 
 
 def _draw(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -210,18 +210,19 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     """
     estimates, ses, covered, degenerate = _draw(config)
     kept = ~degenerate
-    n_kept = int(kept.sum())
-    if n_kept == 0:
+    estimates = estimates[kept]
+    if estimates.size == 0:
         raise DegenerateSampleError(
             f"all {config.replications} replications were degenerate (no true positives)"
         )
     return SimulationReport(
         true_value=population_index(config.model, config.params),
-        mean_estimate=float(estimates[kept].mean()),
-        sd_estimates=float(estimates[kept].std(ddof=1)) if n_kept >= 2 else 0.0,
+        mean_estimate=float(estimates.mean()),
+        sd_estimates=float(estimates.std(ddof=1)) if estimates.size >= 2 else 0.0,
         mean_se=float(ses[kept].mean()),
         coverage=float(covered[kept].mean()),
         degenerate_count=int(degenerate.sum()),
+        estimates=estimates,
     )
 
 
@@ -253,13 +254,13 @@ def bootstrap_se(
     """
     if not isinstance(counts, ConfusionCounts):
         raise InvalidParameterError("counts must be a ConfusionCounts")
-    resamples = _require_count(resamples, "resamples")
+    resamples = _require_bits(resamples, "resamples", 63)
     if resamples < 100:
         raise InvalidParameterError(f"resamples must be >= 100, got {resamples}")
-    seed = _require_seed(seed)
+    seed = _require_bits(seed, "seed", 64)
     if counts.tp == 0:
         raise DegenerateSampleError("sample has no true positives; nothing to resample")
-    n = counts.n
+    n = _require_bits(counts.n, "total count", 63)
     pvals = np.array([counts.tp, counts.fn, counts.fp, counts.tn]) / n
     draws = np.random.default_rng(seed).multinomial(n, pvals, size=resamples)
     tp = draws[:, 0].astype(float)

@@ -241,3 +241,45 @@ def test_domain_error_is_exit_4(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
+
+
+def test_simulate_draws_once(capsys, monkeypatch):
+    from tverskyci import simulation
+
+    calls = []
+    draw = simulation._draw
+
+    def counting_draw(config):
+        calls.append(config)
+        return draw(config)
+
+    monkeypatch.setattr(simulation, "_draw", counting_draw)
+    code, _, err = run_cli(capsys, "simulate", "--n", "50", "--replications", "40")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "9223372036854775808"),
+        ("simulate", "--replications", "100000000000000000000"),
+        ("bootstrap-check", "--counts", "100000000000000000000,1,1,1"),
+        ("bootstrap-check", "--counts", "3,1,1,1", "--resamples", "100000000000000000000"),
+        ("ci", "--summary", "100,0.3,0.5,0.9090909", "--ab", "0.8,0.2"),
+        ("ci", "--summary", "100,0.99,0.5,0.6", "--ab", "0.5,1"),
+    ],
+)
+def test_out_of_range_inputs_are_exit_4(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("tverskyci: error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"z,a\n1,1\n\xff\xfe\n")
+    code, _, err = run_cli(capsys, "ci", "--input", str(path))
+    assert code == 2
+    assert str(path) in err

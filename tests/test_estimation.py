@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from tverskyci import (
@@ -322,3 +324,30 @@ def test_cdf_rejects_non_finite():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
             normal_cdf(x)
+
+
+def test_variance_rejects_ratio_below_min_weight():
+    # (1/0.9090909 - 1) / (1/0.5 - 1) = 0.1, below the smaller weight 0.2
+    with pytest.raises(InvalidParameterError, match="weight range"):
+        asymptotic_variance(SummaryStats(100, 0.3, 0.5, 0.9090909), F05)
+
+
+def test_variance_rejects_index_below_rate_bound():
+    # 1/t - 1 = 1 but max_weight * (1/tp_rate - 1) = 1/99
+    with pytest.raises(InvalidParameterError, match="tp_rate"):
+        asymptotic_variance(SummaryStats(100, 0.99, 0.5, 0.6), TverskyParams(0.5, 1.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 10**15),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+def test_exact_counts_pass_every_consistency_bound(tp, fn, fp, tn, a, b):
+    # Bounds sit exactly on the data when only one error kind occurs or tn
+    # is 0; a huge tp puts t within rounding of 1.
+    assert asymptotic_variance(ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b)) >= 0.0

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tverskyci import (
     ConfusionCounts,
@@ -190,3 +192,67 @@ def test_invalid_mode_and_threshold():
         ingest("whatever.csv", mode="guess")
     with pytest.raises(InvalidParameterError):
         ingest("whatever.csv", threshold=float("nan"))
+
+
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"z,a\n1,1\n\xff\xfe\n")
+    with pytest.raises(DataError, match=r"latin\.csv.*UTF-8"):
+        ingest(str(path))
+
+
+def test_line_numbers_count_only_newlines(tmp_path):
+    # \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029 do not end a line; the bad
+    # row is on physical line 4 whatever the earlier lines contain.
+    for odd in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        path = _write(tmp_path, "odd.csv", f"z,a\n1,1{odd}\n0,0\n1,7\n")
+        with pytest.raises(DataError, match=r"odd\.csv:4:"):
+            ingest(path)
+    path = _write(tmp_path, "mixed.csv", "z,a\r\n1,1\r0,0\n\n1,7\n")
+    with pytest.raises(DataError, match=r"mixed\.csv:5:"):
+        ingest(path)
+
+
+_THRESHOLD = 0.25
+
+
+@st.composite
+def _record_files(draw):
+    """A record file as bytes, plus the counts it must ingest to."""
+    score_mode = draw(st.booleans())
+    if score_mode:
+        values = st.one_of(st.floats(-1e6, 1e6), st.just(_THRESHOLD))
+    else:
+        values = st.sampled_from([0, 1])
+    records = draw(st.lists(st.tuples(st.sampled_from([0, 1]), values), min_size=1, max_size=40))
+    key = "score" if score_mode else "a"
+    layout = draw(st.sampled_from(["csv", "tsv", "jsonl"]))
+    if layout == "jsonl":
+        lines = [json.dumps({"z": z, key: v}) for z, v in records]
+    else:
+        sep = "," if layout == "csv" else "\t"
+        swap = draw(st.booleans())
+        cells = [(key, "z") if swap else ("z", key)]
+        cells += [(repr(v), repr(z)) if swap else (repr(z), repr(v)) for z, v in records]
+        lines = [sep.join(pair) for pair in cells]
+    text = ""
+    for line in lines:
+        text += "".join(draw(st.lists(st.sampled_from(["\n", "  \n", "\r\n"]), max_size=2)))
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+    raw = text.encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    cells = [0, 0, 0, 0]
+    for z, v in records:
+        a = int(v > _THRESHOLD) if score_mode else v
+        cells[(1 - z) * 2 + (1 - a)] += 1
+    return raw, ConfusionCounts(*cells)
+
+
+@settings(deadline=None)
+@given(_record_files())
+def test_ingest_round_trip_property(tmp_path_factory, case):
+    raw, expected = case
+    path = tmp_path_factory.mktemp("records") / "records.txt"
+    path.write_bytes(raw)
+    assert ingest(str(path), threshold=_THRESHOLD) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -258,3 +259,29 @@ def test_histogram_counts_cover_all_estimates():
     summary = histogram_summary(values, bins=17)
     assert sum(summary.counts) == 1000
     assert len(summary.edges) == 18
+
+
+def test_report_carries_the_kept_estimates():
+    config = SimulationConfig(
+        model=ScoreModel(0.1, 2.0, 1.0), n=30, replications=200, params=F05, seed=4
+    )
+    report = run_simulation(config)
+    assert np.array_equal(report.estimates, replication_estimates(config))
+    assert report.estimates.size + report.degenerate_count == 200
+    # the array takes no part in equality or hashing
+    other = dataclasses.replace(report, estimates=np.zeros(1))
+    assert other == report
+    assert hash(other) == hash(report)
+
+
+def test_sizes_beyond_int64_are_parameter_errors():
+    model, big = REFERENCE_MODEL, 2**63
+    SimulationConfig(model=model, n=big - 1, replications=1, params=F05)
+    with pytest.raises(InvalidParameterError, match="n must fit"):
+        SimulationConfig(model=model, n=big, replications=1, params=F05)
+    with pytest.raises(InvalidParameterError, match="replications must fit"):
+        SimulationConfig(model=model, n=10, replications=10**20, params=F05)
+    with pytest.raises(InvalidParameterError, match="total count must fit"):
+        bootstrap_se(ConfusionCounts(10**20, 1, 1, 1), F05)
+    with pytest.raises(InvalidParameterError, match="resamples must fit"):
+        bootstrap_se(ConfusionCounts(3, 1, 1, 1), F05, resamples=10**20)
