@@ -251,7 +251,13 @@ def weighted_error_ratio(counts: ConfusionCounts, params: TverskyParams) -> floa
         raise DegenerateSampleError(
             "sample has no true positives; the index and its variance are undefined"
         )
-    return (params.fp_weight * counts.fp + params.fn_weight * counts.fn) / counts.tp
+    return _error_ratio(counts.tp, counts.fn, counts.fp, params)
+
+
+def _error_ratio(tp, fn, fp, params: TverskyParams):
+    # (a*fp + b*fn) / tp for Python ints or int64 arrays alike; int64 converts
+    # to float64 with the same rounding as int, so both give the same bits.
+    return (params.fp_weight * fp + params.fn_weight * fn) / tp
 
 
 def tversky_index(counts: ConfusionCounts, params: TverskyParams) -> float:
@@ -327,32 +333,63 @@ def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyPar
     1/t - 1 = (a*fp + b*fn)/tp can be at most max_weight * (1/tp_rate - 1).
     """
     stats = _as_summary(data, params)
-    if stats.tp_rate <= 0.0:
+    return float(_summary_variance(stats.tversky, stats.tversky_sq, stats.tp_rate, params))
+
+
+def _variance_kernel(r1, r2, t, tp_rate):
+    """(r2 + r1^2) * t^4 / tp_rate with r1 = 1/t - 1 and r2 = 1/t2 - 1, for
+    floats or float64 arrays. np.float_power rounds t^4 as libm pow does,
+    the same bits as float ** 4; ``**`` and np.power on arrays do not."""
+    return (r2 + r1 * r1) * np.float_power(t, 4.0) / tp_rate
+
+
+def _any(mask) -> bool:
+    # np.any takes microseconds on a plain bool, which scalar callers would pay.
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _first(mask, *values) -> tuple[float, ...]:
+    # The values at the first true entry of mask, for error messages.
+    i = np.argmax(mask)
+    return tuple(float(np.ravel(v)[i]) for v in values)
+
+
+def _summary_variance(tversky, tversky_sq, tp_rate, params: TverskyParams):
+    """asymptotic_variance on floats or same-shape float64 arrays, after the
+    consistency checks; any inconsistent element raises."""
+    if _any(tp_rate <= 0.0):
         raise DegenerateSampleError(
             "tp_rate is zero; the variance formula divides by the true-positive rate"
         )
-    u1, u2 = 1.0 / stats.tversky, 1.0 / stats.tversky_sq
+    u1, u2 = 1.0 / tversky, 1.0 / tversky_sq
     r1, r2 = u1 - 1.0, u2 - 1.0
     lo, hi = min(params.fp_weight, params.fn_weight), params.max_weight
     tol = _CONSISTENCY_RTOL
-    if r1 > 0.0 and (r2 - hi * r1 > tol * (u2 + hi * u1) or lo * r1 - r2 > tol * (u2 + lo * u1)):
+    bad = (r1 > 0.0) & (
+        (r2 - hi * r1 > tol * (u2 + hi * u1)) | (lo * r1 - r2 > tol * (u2 + lo * u1))
+    )
+    if _any(bad):
+        bad_r1, bad_r2 = _first(bad, r1, r2)
         raise InvalidParameterError(
             "inconsistent summary statistics: (1/tversky_sq - 1)/(1/tversky - 1) "
-            f"= {r2 / r1:.6g} lies outside the weight range [{lo:.6g}, {hi:.6g}]"
+            f"= {bad_r2 / bad_r1:.6g} lies outside the weight range [{lo:.6g}, {hi:.6g}]"
         )
-    rate_bound = hi * (1.0 / stats.tp_rate - 1.0)
-    if r1 - rate_bound > tol * (u1 + hi / stats.tp_rate):
+    rate_bound = hi * (1.0 / tp_rate - 1.0)
+    bad = r1 - rate_bound > tol * (u1 + hi / tp_rate)
+    if _any(bad):
+        bad_r1, bad_bound = _first(bad, r1, rate_bound)
         raise InvalidParameterError(
-            f"inconsistent summary statistics: 1/tversky - 1 = {r1:.6g} exceeds "
-            f"max weight * (1/tp_rate - 1) = {rate_bound:.6g}"
+            f"inconsistent summary statistics: 1/tversky - 1 = {bad_r1:.6g} exceeds "
+            f"max weight * (1/tp_rate - 1) = {bad_bound:.6g}"
         )
-    if r1 == 0.0 and r2 > 0.0:
-        # tversky = 1 means an error-free sample, so tversky_sq must be 1 too.
+    # tversky = 1 means an error-free sample, so tversky_sq must be 1 too.
+    bad = (r1 == 0.0) & (r2 > 0.0)
+    if _any(bad):
         raise InvalidParameterError(
             "inconsistent summary statistics: tversky is 1 but tversky_sq is "
-            f"{stats.tversky_sq!r}"
+            f"{_first(bad, tversky_sq)[0]!r}"
         )
-    return (r2 + r1 * r1) * stats.tversky**4 / stats.tp_rate
+    return _variance_kernel(r1, r2, tversky, tp_rate)
 
 
 def confidence_interval(

@@ -14,7 +14,10 @@ law as n latent-score draws, and every statistic here depends on the cells
 only). Each replication uses its own counter-based random stream keyed on
 (seed, replication index), so results are bitwise reproducible no matter
 how replications are scheduled, and aggregation reads per-replication
-arrays in index order.
+arrays in index order. One Philox serves every replication, re-keyed to
+(seed, i) with the rest of its state reset: the same streams as a fresh
+Philox(key=[seed, i]) each, without building one per replication. The
+intervals of all replications are then computed in one vectorized pass.
 
 The nonparametric bootstrap here is a verification oracle for the analytic
 standard error, not an alternative product feature.
@@ -31,10 +34,13 @@ from .errors import DegenerateSampleError, InvalidParameterError
 from .estimation import (
     ConfusionCounts,
     TverskyParams,
+    _error_ratio,
     _require_count,
     _require_open_unit,
-    confidence_interval,
+    _summary_variance,
+    _variance_kernel,
     normal_cdf,
+    normal_quantile,
 )
 
 __all__ = [
@@ -56,11 +62,6 @@ def _require_bits(value: object, name: str, bits: int) -> int:
     if out >= 2**bits:
         raise InvalidParameterError(f"{name} must fit in {bits} bits, got {out}")
     return out
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # Counter-based generator keyed on (seed, replication index).
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ def population_variance(model: ScoreModel, params: TverskyParams) -> float:
     r1 = (params.fp_weight * p_fp + params.fn_weight * p_fn) / p_tp
     r2 = (params.fp_weight**2 * p_fp + params.fn_weight**2 * p_fn) / p_tp
     index = 1.0 / (1.0 + r1)
-    return (r2 + r1 * r1) * index**4 / p_tp
+    return float(_variance_kernel(r1, r2, index, p_tp))
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +181,50 @@ class SimulationReport:
     estimates: np.ndarray = field(compare=False, repr=False)
 
 
+def _intervals(
+    cells: np.ndarray, params: TverskyParams, level: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate, se and clipped interval endpoints for each row of a (k, 4)
+    int64 array of (tp, fn, fp, tn) counts with tp >= 1: the same bits
+    confidence_interval gives for each row as ConfusionCounts."""
+    totals = cells.sum(axis=1)
+    if np.any(cells < 0) or np.any(totals < 1):
+        raise InvalidParameterError("confusion counts must be >= 0 and total at least 1")
+    tp, fn, fp = cells[:, 0], cells[:, 1], cells[:, 2]
+    # Python's int / int rounds once, as ConfusionCounts.tp_rate does; int64
+    # division rounds both operands to float64 first, which differs past 2**53.
+    tp_rate = (tp.astype(object) / totals.astype(object)).astype(float)
+    estimate = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params))
+    estimate_sq = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params.squared()))
+    variance = _summary_variance(estimate, estimate_sq, tp_rate, params)
+    se = np.sqrt(variance / totals)
+    half_width = normal_quantile(0.5 * (1.0 + level)) * se
+    lower, upper = np.maximum(0.0, estimate - half_width), np.minimum(1.0, estimate + half_width)
+    return estimate, se, lower, upper
+
+
 def _draw(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     pvals = np.array(config.model.cell_probabilities)
     true_value = population_index(config.model, config.params)
     reps = config.replications
+    bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    generator = np.random.Generator(bit_generator)
+    cells = np.empty((reps, 4), dtype=np.int64)
+    for i in range(reps):
+        key[1] = i
+        bit_generator.state = fresh
+        cells[i] = generator.multinomial(config.n, pvals)
+    degenerate = cells[:, 0] == 0
+    kept = ~degenerate
     estimates = np.full(reps, np.nan)
     ses = np.full(reps, np.nan)
     covered = np.zeros(reps, dtype=bool)
-    degenerate = np.zeros(reps, dtype=bool)
-    for i in range(reps):
-        cells = _stream(config.seed, i).multinomial(config.n, pvals)
-        if cells[0] == 0:
-            degenerate[i] = True
-            continue
-        counts = ConfusionCounts(int(cells[0]), int(cells[1]), int(cells[2]), int(cells[3]))
-        report = confidence_interval(counts, config.params, config.level)
-        estimates[i] = report.estimate
-        ses[i] = report.se
-        covered[i] = report.ci_lower <= true_value <= report.ci_upper
+    estimates[kept], ses[kept], lower, upper = _intervals(
+        cells[kept], config.params, config.level
+    )
+    covered[kept] = (lower <= true_value) & (true_value <= upper)
     return estimates, ses, covered, degenerate
 
 
@@ -237,6 +264,8 @@ def replication_estimates(config: SimulationConfig) -> np.ndarray:
 # bootstrap oracle
 # ---------------------------------------------------------------------------
 
+_BOOTSTRAP_CHUNK = 2**16
+
 
 def bootstrap_se(
     counts: ConfusionCounts,
@@ -250,7 +279,8 @@ def bootstrap_se(
     observed proportions and recomputes the index; the returned value is
     the standard deviation of the resampled indices. Resamples with no
     true positives are skipped; more than half of them degenerate is an
-    error.
+    error. Resamples are drawn in chunks, so memory is the kept indices,
+    8 bytes per resample, plus one chunk.
     """
     if not isinstance(counts, ConfusionCounts):
         raise InvalidParameterError("counts must be a ConfusionCounts")
@@ -262,17 +292,30 @@ def bootstrap_se(
         raise DegenerateSampleError("sample has no true positives; nothing to resample")
     n = _require_bits(counts.n, "total count", 63)
     pvals = np.array([counts.tp, counts.fn, counts.fp, counts.tn]) / n
-    draws = np.random.default_rng(seed).multinomial(n, pvals, size=resamples)
-    tp = draws[:, 0].astype(float)
-    kept = tp > 0
-    skipped = resamples - int(kept.sum())
+    try:
+        indices = np.empty(resamples)
+    except MemoryError:
+        raise InvalidParameterError(
+            f"resamples={resamples} needs {8 * resamples} bytes of memory, "
+            "more than can be allocated"
+        ) from None
+    rng = np.random.default_rng(seed)
+    size = 0
+    # Successive chunks consume the stream exactly as one draw of all rows.
+    for start in range(0, resamples, _BOOTSTRAP_CHUNK):
+        draws = rng.multinomial(n, pvals, size=min(_BOOTSTRAP_CHUNK, resamples - start))
+        tp = draws[:, 0].astype(float)
+        kept = tp > 0
+        errors = params.fp_weight * draws[kept, 2] + params.fn_weight * draws[kept, 1]
+        kept_indices = tp[kept] / (tp[kept] + errors)
+        indices[size : size + kept_indices.size] = kept_indices
+        size += kept_indices.size
+    skipped = resamples - size
     if 2 * skipped > resamples:
         raise DegenerateSampleError(
             f"{skipped} of {resamples} resamples were degenerate (no true positives)"
         )
-    errors = params.fp_weight * draws[kept, 2] + params.fn_weight * draws[kept, 1]
-    indices = tp[kept] / (tp[kept] + errors)
-    return float(indices.std(ddof=1))
+    return float(indices[:size].std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +352,13 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
         raise InvalidParameterError("need at least 2 estimates to summarize")
     if not np.all(np.isfinite(values)):
         raise InvalidParameterError("estimates must all be finite")
-    counts, edges = np.histogram(values, bins=bins)
+    try:
+        counts, edges = np.histogram(values, bins=bins)
+    except MemoryError:
+        raise InvalidParameterError(
+            f"bins={bins} needs at least {16 * bins} bytes of memory for the bin "
+            "counts and edges, more than can be allocated"
+        ) from None
     if values.min() == values.max():
         # A constant sample has no spread; don't let the mean's rounding
         # residue masquerade as moments.
