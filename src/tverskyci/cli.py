@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 
 from .errors import (
     DataError,
@@ -95,10 +96,6 @@ def _add_params_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-
-
 def _add_input_flags(sub: argparse.ArgumentParser, include_summary: bool) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--input", metavar="PATH", help="record file (delimited or JSON lines)")
@@ -134,22 +131,18 @@ def build_parser() -> _Parser:
     estimate = subs.add_parser("estimate", help="index, precision, and recall")
     _add_input_flags(estimate, include_summary=True)
     _add_params_flags(estimate)
-    _add_format_flag(estimate)
 
     ci = subs.add_parser("ci", help="estimate with standard error and confidence interval")
     _add_input_flags(ci, include_summary=True)
     _add_params_flags(ci)
     ci.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
-    _add_format_flag(ci)
 
     plan = subs.add_parser("plan", help="conservative sample-size plan for a target se")
     plan.add_argument("--delta", type=float, required=True, help="target standard error")
     plan.add_argument("--ez", type=float, help="positive-label prevalence (enables total size)")
     _add_params_flags(plan)
-    _add_format_flag(plan)
 
-    table = subs.add_parser("bound-table", help="tabulate the planning bound")
-    _add_format_flag(table)
+    subs.add_parser("bound-table", help="tabulate the planning bound")
 
     simulate = subs.add_parser("simulate", help="coverage experiment on the Gaussian score model")
     simulate.add_argument("--pz", type=float, default=0.5, help="label prevalence (default 0.5)")
@@ -165,7 +158,6 @@ def build_parser() -> _Parser:
     simulate.add_argument("--seed", type=int, default=0, help="random seed")
     simulate.add_argument("--bins", type=int, default=30, help="histogram bins (default 30)")
     _add_params_flags(simulate)
-    _add_format_flag(simulate)
 
     check = subs.add_parser(
         "bootstrap-check", help="compare the analytic se against a bootstrap"
@@ -176,8 +168,12 @@ def build_parser() -> _Parser:
     )
     check.add_argument("--seed", type=int, default=0, help="random seed")
     _add_params_flags(check)
-    _add_format_flag(check)
 
+    # Every subcommand takes --format, added last so it ends each usage line.
+    for sub in subs.choices.values():
+        sub.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
     return parser
 
 
@@ -187,7 +183,10 @@ def _resolve_params(args: argparse.Namespace) -> TverskyParams:
     return fbeta_to_tversky(args.beta if args.beta is not None else 1.0)
 
 
-def _resolve_counts(args: argparse.Namespace) -> ConfusionCounts:
+def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
+    # bootstrap-check has no --summary flag, so it always gets counts
+    if getattr(args, "summary", None) is not None:
+        return SummaryStats(*args.summary)
     if args.input is not None:
         return ingest(args.input, mode=args.mode, threshold=args.threshold)
     if args.counts is not None:
@@ -195,8 +194,12 @@ def _resolve_counts(args: argparse.Namespace) -> ConfusionCounts:
     raise UsageError("provide --input or --counts")
 
 
-def _params_payload(params: TverskyParams) -> dict:
-    return {"fp_weight": params.fp_weight, "fn_weight": params.fn_weight}
+def _fields(record: object, *omit: str) -> dict:
+    """A result dataclass as a JSON object, less the fields named in omit."""
+    payload = asdict(record)
+    for name in omit:
+        del payload[name]
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -208,32 +211,34 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6f}"
 
 
+def _weights(params: TverskyParams) -> str:
+    return f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}"
+
+
 def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
     params = _resolve_params(args)
+    data = _resolve_data(args)
     warnings: list[str] = []
-    if getattr(args, "summary", None) is not None:
-        stats = SummaryStats(*args.summary)
-        estimate = stats.tversky
+    if isinstance(data, SummaryStats):
+        estimate = data.tversky
         prec = rec = None
-        n = stats.n
         warnings.append("precision and recall require record-level input; reported as n/a")
     else:
-        counts = _resolve_counts(args)
-        estimate = tversky_index(counts, params)
-        prec = precision(counts)
-        rec = recall(counts)
-        n = counts.n
+        estimate = tversky_index(data, params)
+        prec = precision(data)
+        rec = recall(data)
+    n = data.n
     payload = {
         "command": "estimate",
         "n": n,
-        "params": _params_payload(params),
+        "params": asdict(params),
         "estimate": estimate,
         "precision": prec,
         "recall": rec,
     }
     lines = [
         f"n: {n}",
-        f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}",
+        _weights(params),
         f"estimate: {_fmt(estimate)}",
         f"precision: {_fmt(prec)}",
         f"recall: {_fmt(rec)}",
@@ -243,32 +248,17 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
 
 def _cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
     params = _resolve_params(args)
-    if getattr(args, "summary", None) is not None:
-        data: ConfusionCounts | SummaryStats = SummaryStats(*args.summary)
-    else:
-        data = _resolve_counts(args)
-    report = confidence_interval(data, params, args.level)
+    report = confidence_interval(_resolve_data(args), params, args.level)
     warnings = []
     if report.at_boundary:
         warnings.append(
             "estimate is at the boundary (zero variance); "
             "the normal approximation is uninformative here"
         )
-    payload = {
-        "command": "ci",
-        "n": report.n,
-        "params": _params_payload(params),
-        "level": report.level,
-        "estimate": report.estimate,
-        "variance": report.variance,
-        "se": report.se,
-        "half_width": report.half_width,
-        "ci_lower": report.ci_lower,
-        "ci_upper": report.ci_upper,
-    }
+    payload = {"command": "ci", "params": asdict(params), **_fields(report, "at_boundary")}
     lines = [
         f"n: {report.n}",
-        f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}",
+        _weights(params),
         f"level: {report.level:g}",
         f"estimate: {_fmt(report.estimate)}",
         f"se: {_fmt(report.se)}",
@@ -285,19 +275,12 @@ def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
         plan = required_total(args.delta, params, args.ez)
     else:
         plan = required_events(args.delta, params)
-    payload = {
-        "command": "plan",
-        "params": _params_payload(params),
-        "target_se": plan.target_se,
-        "bound": planning_bound(params),
-        "required_events": plan.required_events,
-        "prevalence": plan.prevalence,
-        "required_total": plan.required_total,
-    }
+    bound = planning_bound(params)
+    payload = {"command": "plan", "bound": bound, **asdict(plan)}
     lines = [
-        f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}",
+        _weights(params),
         f"target_se: {plan.target_se:g}",
-        f"bound: {planning_bound(params):.4f}",
+        f"bound: {bound:.4f}",
         f"required_events: {plan.required_events}",
     ]
     if plan.required_total is not None:
@@ -341,39 +324,15 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
         warnings.append("fewer than 2 usable replications; histogram diagnostics omitted")
     payload = {
         "command": "simulate",
-        "config": {
-            "prevalence": model.prevalence,
-            "shift": model.shift,
-            "threshold": model.threshold,
-            "n": config.n,
-            "replications": config.replications,
-            "params": _params_payload(params),
-            "level": config.level,
-            "seed": config.seed,
-        },
-        "report": {
-            "true_value": report.true_value,
-            "mean_estimate": report.mean_estimate,
-            "sd_estimates": report.sd_estimates,
-            "mean_se": report.mean_se,
-            "coverage": report.coverage,
-            "degenerate_count": report.degenerate_count,
-        },
-        "histogram": None
-        if histogram is None
-        else {
-            "counts": list(histogram.counts),
-            "edges": list(histogram.edges),
-            "skewness": histogram.skewness,
-            "excess_kurtosis": histogram.excess_kurtosis,
-            "n": histogram.n,
-        },
+        "config": {**asdict(model), **_fields(config, "model")},
+        "report": _fields(report, "estimates"),
+        "histogram": None if histogram is None else asdict(histogram),
     }
     lines = [
         f"model: prevalence={model.prevalence:g} shift={model.shift:g} "
         f"threshold={model.threshold:g}",
         f"n: {config.n}  replications: {config.replications}  seed: {config.seed}",
-        f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}  level: {config.level:g}",
+        f"{_weights(params)}  level: {config.level:g}",
         f"true_value: {_fmt(report.true_value)}",
         f"mean_estimate: {_fmt(report.mean_estimate)}",
         f"sd_estimates: {_fmt(report.sd_estimates)}",
@@ -388,14 +347,14 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
 
 def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
     params = _resolve_params(args)
-    counts = _resolve_counts(args)
+    counts = _resolve_data(args)
     report = confidence_interval(counts, params)
     boot = bootstrap_se(counts, params, resamples=args.resamples, seed=args.seed)
     gap = (boot - report.se) / report.se if report.se > 0 else None
     payload = {
         "command": "bootstrap-check",
         "n": counts.n,
-        "params": _params_payload(params),
+        "params": asdict(params),
         "analytic_se": report.se,
         "bootstrap_se": boot,
         "relative_gap": gap,
@@ -404,7 +363,7 @@ def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[dict, list[str], lis
     }
     lines = [
         f"n: {counts.n}",
-        f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}",
+        _weights(params),
         f"analytic_se: {_fmt(report.se)}",
         f"bootstrap_se: {_fmt(boot)}",
         f"relative_gap: {_fmt(gap)}",

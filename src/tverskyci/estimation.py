@@ -168,7 +168,12 @@ class TverskyParams:
 
     def squared(self) -> "TverskyParams":
         """Weights squared component-wise; used by the variance formula."""
-        return TverskyParams(self.fp_weight**2, self.fn_weight**2)
+        try:
+            return TverskyParams(self.fp_weight**2, self.fn_weight**2)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"weights ({self.fp_weight:g}, {self.fn_weight:g}) overflow when squared"
+            ) from None
 
 
 def fbeta_to_tversky(beta: float) -> TverskyParams:
@@ -389,7 +394,15 @@ def _summary_variance(tversky, tversky_sq, tp_rate, params: TverskyParams):
             "inconsistent summary statistics: tversky is 1 but tversky_sq is "
             f"{_first(bad, tversky_sq)[0]!r}"
         )
-    return _variance_kernel(r1, r2, tversky, tp_rate)
+    variance = _variance_kernel(r1, r2, tversky, tp_rate)
+    # An index near 0 makes 1/t or (1/t - 1)^2 overflow, giving inf or nan.
+    bad = (variance != variance) | (variance == math.inf)
+    if _any(bad):
+        raise InvalidParameterError(
+            f"the variance is {_first(bad, variance)[0]!r}: tversky or tversky_sq is too "
+            "close to 0 for floating point"
+        )
+    return variance
 
 
 def confidence_interval(

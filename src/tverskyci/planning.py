@@ -109,8 +109,12 @@ def variance_bound(params: TverskyParams) -> VarianceBound:
     s = math.sqrt(4.0 * c * c - 4.0 * c + 9.0)
     root_minus = (3.0 + 2.0 * c - s) / 8.0
     root_plus = (3.0 + 2.0 * c + s) / 8.0
-    maximizer = root_minus if c > 1.0 else root_plus
-    value = maximizer * (1.0 - maximizer) * (1.0 - maximizer / c) ** 2
+    # Branch on m: below ~1e-16, 1 - m and so c round to exactly 1.
+    maximizer = root_minus if m < 1.0 else root_plus
+    try:
+        value = maximizer * (1.0 - maximizer) * (1.0 - maximizer / c) ** 2
+    except OverflowError:
+        raise InvalidParameterError(f"max_weight={m:g} is too large: V(m) overflows") from None
     return VarianceBound(
         max_weight=m,
         root_minus=root_minus,
@@ -138,8 +142,13 @@ def bound_table(
     return tuple(rows)
 
 
-def _ceil_snapped(x: float) -> int:
-    return math.ceil(x * (1.0 - _CEIL_RTOL))
+def _ceil_snapped(bound: float, scale: float) -> int:
+    # ceil(bound / scale) for a positive bound: a quotient past the float range
+    # is no plan, and one that underflows to 0 still needs one record.
+    quotient = bound / scale if scale > 0.0 else math.inf
+    if quotient == math.inf:
+        raise InvalidParameterError(f"the plan {bound:g}/{scale:g} exceeds the float range")
+    return max(1, math.ceil(quotient * (1.0 - _CEIL_RTOL)))
 
 
 def required_events(delta: float, params: TverskyParams) -> PlanResult:
@@ -148,7 +157,7 @@ def required_events(delta: float, params: TverskyParams) -> PlanResult:
     ceil(V / (delta^2 * fn_weight)) with V = planning_bound(params).
     """
     delta = _require_positive(delta, "delta")
-    events = _ceil_snapped(planning_bound(params) / (delta * delta * params.fn_weight))
+    events = _ceil_snapped(planning_bound(params), delta * delta * params.fn_weight)
     return PlanResult(
         required_events=events,
         required_total=None,
@@ -173,8 +182,8 @@ def required_total(delta: float, params: TverskyParams, prevalence: float) -> Pl
     bound = planning_bound(params)
     scale = delta * delta * params.fn_weight
     return PlanResult(
-        required_events=_ceil_snapped(bound / scale),
-        required_total=_ceil_snapped(bound / (scale * prevalence)),
+        required_events=_ceil_snapped(bound, scale),
+        required_total=_ceil_snapped(bound, scale * prevalence),
         target_se=delta,
         params=params,
         prevalence=prevalence,

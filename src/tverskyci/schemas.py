@@ -7,204 +7,118 @@ contract; see the README for the prose version.
 
 from __future__ import annotations
 
-_PARAMS = {
-    "type": "object",
-    "properties": {
-        "fp_weight": {"type": "number", "exclusiveMinimum": 0},
-        "fn_weight": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["fp_weight", "fn_weight"],
-    "additionalProperties": False,
-}
 
+def _object(**properties: dict) -> dict:
+    """A closed object: exactly these properties, every one required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
+def _report(command: str, **properties: dict) -> dict:
+    """The report of one subcommand, tagged with its name."""
+    return _object(command={"const": command}, **properties)
+
+
+_NUMBER = {"type": "number"}
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_N = {"type": "integer", "minimum": 1}
 
-ESTIMATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "estimate"},
-        "n": {"type": "integer", "minimum": 1},
-        "params": _PARAMS,
-        "estimate": {"type": "number", "minimum": 0, "maximum": 1},
-        "precision": _NULLABLE_NUMBER,
-        "recall": _NULLABLE_NUMBER,
-    },
-    "required": ["command", "n", "params", "estimate", "precision", "recall"],
-    "additionalProperties": False,
-}
+_PARAMS = _object(fp_weight=_POSITIVE, fn_weight=_POSITIVE)
 
-CI_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "ci"},
-        "n": {"type": "integer", "minimum": 1},
-        "params": _PARAMS,
-        "level": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "estimate": {"type": "number", "minimum": 0, "maximum": 1},
-        "variance": {"type": "number", "minimum": 0},
-        "se": {"type": "number", "minimum": 0},
-        "half_width": {"type": "number", "minimum": 0},
-        "ci_lower": {"type": "number", "minimum": 0, "maximum": 1},
-        "ci_upper": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": [
-        "command",
-        "n",
-        "params",
-        "level",
-        "estimate",
-        "variance",
-        "se",
-        "half_width",
-        "ci_lower",
-        "ci_upper",
-    ],
-    "additionalProperties": False,
-}
+ESTIMATE_SCHEMA = _report(
+    "estimate",
+    n=_N,
+    params=_PARAMS,
+    estimate=_UNIT,
+    precision=_NULLABLE_NUMBER,
+    recall=_NULLABLE_NUMBER,
+)
 
-PLAN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "plan"},
-        "params": _PARAMS,
-        "target_se": {"type": "number", "exclusiveMinimum": 0},
-        "bound": {"type": "number", "exclusiveMinimum": 0},
-        "required_events": {"type": "integer", "minimum": 1},
-        "prevalence": _NULLABLE_NUMBER,
-        "required_total": {"type": ["integer", "null"]},
-    },
-    "required": [
-        "command",
-        "params",
-        "target_se",
-        "bound",
-        "required_events",
-        "prevalence",
-        "required_total",
-    ],
-    "additionalProperties": False,
-}
+CI_SCHEMA = _report(
+    "ci",
+    n=_N,
+    params=_PARAMS,
+    level={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    estimate=_UNIT,
+    variance=_NONNEGATIVE,
+    se=_NONNEGATIVE,
+    half_width=_NONNEGATIVE,
+    ci_lower=_UNIT,
+    ci_upper=_UNIT,
+)
 
-BOUND_TABLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "bound-table"},
-        "rows": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "max_weight": {"type": "number", "exclusiveMinimum": 0},
-                    "bound": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["max_weight", "bound"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "rows"],
-    "additionalProperties": False,
-}
+PLAN_SCHEMA = _report(
+    "plan",
+    params=_PARAMS,
+    target_se=_POSITIVE,
+    bound=_POSITIVE,
+    required_events=_N,
+    prevalence=_NULLABLE_NUMBER,
+    required_total={"type": ["integer", "null"]},
+)
 
-SIMULATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "simulate"},
-        "config": {
-            "type": "object",
-            "properties": {
-                "prevalence": {"type": "number"},
-                "shift": {"type": "number"},
-                "threshold": {"type": "number"},
-                "n": {"type": "integer", "minimum": 1},
-                "replications": {"type": "integer", "minimum": 1},
-                "params": _PARAMS,
-                "level": {"type": "number"},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "required": [
-                "prevalence",
-                "shift",
-                "threshold",
-                "n",
-                "replications",
-                "params",
-                "level",
-                "seed",
-            ],
-            "additionalProperties": False,
-        },
-        "report": {
-            "type": "object",
-            "properties": {
-                "true_value": {"type": "number"},
-                "mean_estimate": {"type": "number"},
-                "sd_estimates": {"type": "number"},
-                "mean_se": {"type": "number"},
-                "coverage": {"type": "number", "minimum": 0, "maximum": 1},
-                "degenerate_count": {"type": "integer", "minimum": 0},
-            },
-            "required": [
-                "true_value",
-                "mean_estimate",
-                "sd_estimates",
-                "mean_se",
-                "coverage",
-                "degenerate_count",
-            ],
-            "additionalProperties": False,
-        },
-        # null when fewer than 2 replications survive
-        "histogram": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "counts": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                        },
-                        "edges": {"type": "array", "items": {"type": "number"}},
-                        "skewness": _NULLABLE_NUMBER,
-                        "excess_kurtosis": _NULLABLE_NUMBER,
-                        "n": {"type": "integer", "minimum": 2},
-                    },
-                    "required": ["counts", "edges", "skewness", "excess_kurtosis", "n"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
+BOUND_TABLE_SCHEMA = _report(
+    "bound-table",
+    rows={
+        "type": "array",
+        "minItems": 1,
+        "items": _object(max_weight=_POSITIVE, bound=_POSITIVE),
     },
-    "required": ["command", "config", "report", "histogram"],
-    "additionalProperties": False,
-}
+)
 
-BOOTSTRAP_CHECK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "bootstrap-check"},
-        "n": {"type": "integer", "minimum": 1},
-        "params": _PARAMS,
-        "analytic_se": {"type": "number", "minimum": 0},
-        "bootstrap_se": {"type": "number", "minimum": 0},
-        "relative_gap": _NULLABLE_NUMBER,
-        "resamples": {"type": "integer", "minimum": 100},
-        "seed": {"type": "integer", "minimum": 0},
+SIMULATE_SCHEMA = _report(
+    "simulate",
+    config=_object(
+        prevalence=_NUMBER,
+        shift=_NUMBER,
+        threshold=_NUMBER,
+        n=_N,
+        replications=_N,
+        params=_PARAMS,
+        level=_NUMBER,
+        seed=_COUNT,
+    ),
+    report=_object(
+        true_value=_NUMBER,
+        mean_estimate=_NUMBER,
+        sd_estimates=_NUMBER,
+        mean_se=_NUMBER,
+        coverage=_UNIT,
+        degenerate_count=_COUNT,
+    ),
+    # null when fewer than 2 replications survive
+    histogram={
+        "anyOf": [
+            {"type": "null"},
+            _object(
+                counts={"type": "array", "items": _COUNT},
+                edges={"type": "array", "items": _NUMBER},
+                skewness=_NULLABLE_NUMBER,
+                excess_kurtosis=_NULLABLE_NUMBER,
+                n={"type": "integer", "minimum": 2},
+            ),
+        ]
     },
-    "required": [
-        "command",
-        "n",
-        "params",
-        "analytic_se",
-        "bootstrap_se",
-        "relative_gap",
-        "resamples",
-        "seed",
-    ],
-    "additionalProperties": False,
-}
+)
+
+BOOTSTRAP_CHECK_SCHEMA = _report(
+    "bootstrap-check",
+    n=_N,
+    params=_PARAMS,
+    analytic_se=_NONNEGATIVE,
+    bootstrap_se=_NONNEGATIVE,
+    relative_gap=_NULLABLE_NUMBER,
+    resamples={"type": "integer", "minimum": 100},
+    seed=_COUNT,
+)
 
 SCHEMAS_BY_COMMAND = {
     "estimate": ESTIMATE_SCHEMA,

@@ -120,8 +120,9 @@ def population_variance(model: ScoreModel, params: TverskyParams) -> float:
     p_tp, p_fn, p_fp, _ = model.cell_probabilities
     if p_tp <= 0.0:
         raise DegenerateSampleError("model gives zero true-positive probability")
+    squared = params.squared()
     r1 = (params.fp_weight * p_fp + params.fn_weight * p_fn) / p_tp
-    r2 = (params.fp_weight**2 * p_fp + params.fn_weight**2 * p_fn) / p_tp
+    r2 = (squared.fp_weight * p_fp + squared.fn_weight * p_fn) / p_tp
     index = 1.0 / (1.0 + r1)
     return float(_variance_kernel(r1, r2, index, p_tp))
 
@@ -211,7 +212,13 @@ def _draw(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     fresh = bit_generator.state
     key = fresh["state"]["key"]
     generator = np.random.Generator(bit_generator)
-    cells = np.empty((reps, 4), dtype=np.int64)
+    try:
+        cells = np.empty((reps, 4), dtype=np.int64)
+    except MemoryError:
+        raise InvalidParameterError(
+            f"replications={reps} needs at least {32 * reps} bytes of memory for the "
+            "drawn cells, more than can be allocated"
+        ) from None
     for i in range(reps):
         key[1] = i
         bit_generator.state = fresh
@@ -326,8 +333,8 @@ def bootstrap_se(
 @dataclass(frozen=True, slots=True)
 class HistogramSummary:
     """Equal-width bin counts plus moment diagnostics of a sample of
-    estimates. Skewness and excess kurtosis are None for a constant
-    sample, where they are undefined."""
+    estimates. Skewness and excess kurtosis are None where they are
+    undefined: a constant sample, or a spread whose moments underflow."""
 
     counts: tuple[int, ...]
     edges: tuple[float, ...]
@@ -359,13 +366,12 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
             f"bins={bins} needs at least {16 * bins} bytes of memory for the bin "
             "counts and edges, more than can be allocated"
         ) from None
-    if values.min() == values.max():
-        # A constant sample has no spread; don't let the mean's rounding
-        # residue masquerade as moments.
-        skewness = excess_kurtosis = None
-    else:
-        centered = values - values.mean()
-        m2 = float(np.mean(centered**2))
+    skewness = excess_kurtosis = None
+    centered = values - values.mean()
+    m2 = float(np.mean(centered**2))
+    # A constant sample has no spread, and one whose moments underflow
+    # cannot be normalised; don't let rounding residue masquerade as moments.
+    if values.min() < values.max() and m2**2 > 0.0:
         skewness = float(np.mean(centered**3)) / m2**1.5
         excess_kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
     return HistogramSummary(

@@ -1,10 +1,20 @@
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
+from tverskyci import (
+    EstimateReport,
+    HistogramSummary,
+    PlanResult,
+    ScoreModel,
+    SimulationConfig,
+    SimulationReport,
+    TverskyParams,
+)
 from tverskyci.cli import main
-from tverskyci.schemas import SCHEMAS_BY_COMMAND
+from tverskyci.schemas import CI_SCHEMA, PLAN_SCHEMA, SCHEMAS_BY_COMMAND, SIMULATE_SCHEMA
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +278,16 @@ def test_simulate_draws_once(capsys, monkeypatch):
         ("bootstrap-check", "--counts", "3,1,1,1", "--resamples", "100000000000000000000"),
         ("ci", "--summary", "100,0.3,0.5,0.9090909", "--ab", "0.8,0.2"),
         ("ci", "--summary", "100,0.99,0.5,0.6", "--ab", "0.5,1"),
+        ("ci", "--counts", "1,1,1,1", "--ab", "1e200,1e200"),
+        ("ci", "--counts", "1,1,1,1", "--ab", "1e160,1e-160"),
+        ("simulate", "--ab", "1e200,1"),
+        ("bootstrap-check", "--counts", "5,100,100,0", "--ab", "1e300,1e223"),
+        ("plan", "--delta", "1e-300"),
+        ("plan", "--delta", "3e-156"),
+        ("plan", "--ab", "1e300,1", "--delta", "0.01"),
+        ("ci", "--summary", "278,0.2398975789534,5e-324,0.0077846957090", "--level", "6e-05"),
+        ("ci", "--summary", "655,0.7184292532130084,0.81213,5e-324", "--ab", "4.0,27612534.17"),
+        ("ci", "--counts", "1,1000000000,0,0", "--ab", "1,1e149"),
     ],
 )
 def test_out_of_range_inputs_are_exit_4(capsys, argv):
@@ -283,3 +303,44 @@ def test_non_utf8_input_is_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ci", "--input", str(path))
     assert code == 2
     assert str(path) in err
+
+
+def test_plan_whose_quotient_underflows_is_one_record(capsys):
+    # delta^2 overflows, so the quotient is 0; the schema requires >= 1.
+    payload, _ = run_json(capsys, "plan", "--delta", "1e200", "--ez", "0.5")
+    assert payload["required_events"] == payload["required_total"] == 1
+
+
+def test_plan_with_weights_below_epsilon_uses_the_minus_root(capsys):
+    # 1 - 1e-17 rounds to 1, which once selected the plus root and a bound of 0.
+    payload, _ = run_json(capsys, "plan", "--delta", "0.5", "--ab", "1e-17,1e-17")
+    assert payload["bound"] == 0.1055
+
+
+def test_simulate_with_underflowing_moments_omits_them(capsys):
+    payload, _ = run_json(
+        capsys, "simulate", "--mu=0.5", "--n", "23", "--replications", "26", "--ab=0.5,2.4e99"
+    )
+    assert payload["histogram"]["skewness"] is None
+    assert payload["histogram"]["excess_kurtosis"] is None
+
+
+def _fields(cls, *omit):
+    return {field.name for field in dataclasses.fields(cls)} - set(omit)
+
+
+def test_dataclass_payloads_have_exactly_the_schema_fields():
+    # ci, plan and simulate print library dataclasses as they are; a field
+    # added to one of them must be added to its schema too.
+    def properties(schema):
+        return set(schema["properties"])
+
+    simulate = SIMULATE_SCHEMA["properties"]
+    assert _fields(TverskyParams) == properties(CI_SCHEMA["properties"]["params"])
+    assert _fields(EstimateReport, "at_boundary") | {"command", "params"} == properties(CI_SCHEMA)
+    assert _fields(PlanResult) | {"command", "bound"} == properties(PLAN_SCHEMA)
+    assert not _fields(ScoreModel) & _fields(SimulationConfig)
+    config = _fields(ScoreModel) | _fields(SimulationConfig, "model")
+    assert config == properties(simulate["config"])
+    assert _fields(SimulationReport, "estimates") == properties(simulate["report"])
+    assert _fields(HistogramSummary) == properties(simulate["histogram"]["anyOf"][1])

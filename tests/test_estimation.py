@@ -103,6 +103,14 @@ def test_params_validation():
             TverskyParams(a, b)
 
 
+@pytest.mark.parametrize("a,b", [(1e200, 1e200), (1e160, 1e-160), (1e300, 1e223), (1.0, 2e154)])
+def test_squared_weight_overflow_is_parameter_error(a, b):
+    with pytest.raises(InvalidParameterError, match="overflow when squared"):
+        TverskyParams(a, b).squared()
+    with pytest.raises(InvalidParameterError, match="overflow when squared"):
+        confidence_interval(ConfusionCounts(1, 1, 1, 1), TverskyParams(a, b))
+
+
 @pytest.mark.parametrize(
     "beta,expected",
     [(0.5, (0.8, 0.2)), (1.0, (0.5, 0.5)), (2.0, (0.2, 0.8))],

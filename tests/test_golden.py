@@ -1,8 +1,9 @@
 """Printed output pinned byte for byte against committed fixtures.
 
 The fixtures in tests/data/ are the stdout of the README's reference
-`simulate` and of the benchmark's 1M-resample `bootstrap-check`. A change
-that alters a single printed digit of either fails here.
+`simulate`, of the benchmark's 1M-resample `bootstrap-check`, and of one
+`estimate`, two `ci`, one `plan` and the `bound-table` call in text and
+JSON. A change that alters a single printed byte of any of them fails here.
 """
 
 from pathlib import Path
@@ -21,6 +22,13 @@ BOOTSTRAP = (
     "bootstrap-check", "--counts", "300,60,40,600", "--beta", "0.5",
     "--resamples", "1000000", "--seed", "0", "--format", "json",
 )
+QUICK = {
+    "estimate_counts": ("estimate", "--counts", "286,43,46,160", "--beta", "0.5"),
+    "ci_summary": ("ci", "--summary", "535,0.535,0.861,0.900", "--beta", "0.5"),
+    "ci_counts_ab": ("ci", "--counts", "286,43,46,160", "--ab", "0.3,3", "--level", "0.9"),
+    "plan_total": ("plan", "--delta", "0.01", "--beta", "0.5", "--ez", "0.615"),
+    "bound_table": ("bound-table",),
+}
 
 
 @pytest.mark.parametrize(
@@ -29,6 +37,8 @@ BOOTSTRAP = (
         (SIMULATE + ("--format", "json"), "simulate_reference.json"),
         (SIMULATE, "simulate_reference.txt"),
         (BOOTSTRAP, "bootstrap_check_reference.json"),
+        *((argv, f"{name}.txt") for name, argv in QUICK.items()),
+        *((argv + ("--format", "json"), f"{name}.json") for name, argv in QUICK.items()),
     ],
 )
 def test_stdout_matches_golden_fixture(capsys, argv, fixture):

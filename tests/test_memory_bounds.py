@@ -26,6 +26,7 @@ def test_histogram_bins_beyond_memory():
     [
         ("bootstrap-check", "--counts", "3,1,1,1", "--resamples", "1000000000000000"),
         ("simulate", "--n", "50", "--replications", "200", "--bins", "1000000000000000"),
+        ("simulate", "--n", "5", "--replications", "1000000000000000"),
     ],
 )
 def test_unallocatable_sizes_are_exit_4(capsys, argv):

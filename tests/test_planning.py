@@ -142,6 +142,29 @@ def test_plan_validation():
             required_total(0.01, F05, ez)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 3e-156, 1e-160])
+def test_plan_too_large_to_represent_is_parameter_error(delta):
+    with pytest.raises(InvalidParameterError, match="exceeds the float range"):
+        required_events(delta, F05)
+    with pytest.raises(InvalidParameterError, match="exceeds the float range"):
+        required_total(delta, F05, 0.5)
+
+
+def test_bound_overflow_is_parameter_error():
+    with pytest.raises(InvalidParameterError, match="max_weight=1e\\+300 is too large"):
+        variance_bound(TverskyParams(1e300, 1.0))
+    with pytest.raises(InvalidParameterError):
+        required_events(0.01, TverskyParams(1.0, 1e300))
+
+
+def test_plan_whose_quotient_underflows_needs_one_record():
+    # delta^2 overflows to inf, so V / (delta^2 * fn_weight) is 0; the
+    # requirement is still positive and rounds up to one record.
+    plan = required_total(1e200, F05, 0.5)
+    assert (plan.required_events, plan.required_total) == (1, 1)
+    assert required_events(1e155, F05).required_events == 1
+
+
 def test_planning_bound_is_table_resolution():
     assert planning_bound(F05) == 0.205
     assert planning_bound(fbeta_to_tversky(1.0)) == 0.1549

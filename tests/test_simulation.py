@@ -237,6 +237,20 @@ def test_histogram_constant_sample():
     assert summary.excess_kurtosis is None
 
 
+def test_histogram_moments_that_underflow_are_none():
+    # Distinct estimates whose centred squares underflow to 0: no shape
+    # can be normalised out of them, as for a constant sample.
+    summary = histogram_summary([1e-200, 2e-200, 3e-200, 5e-200], bins=3)
+    assert sum(summary.counts) == 4
+    assert summary.skewness is None
+    assert summary.excess_kurtosis is None
+
+
+def test_population_variance_squared_weight_overflow():
+    with pytest.raises(InvalidParameterError, match="overflow when squared"):
+        population_variance(REFERENCE_MODEL, TverskyParams(1e200, 1.0))
+
+
 def test_histogram_symmetric_two_point_sample():
     summary = histogram_summary([0.4] * 500 + [0.6] * 500, bins=4)
     assert summary.skewness == pytest.approx(0.0, abs=1e-12)
