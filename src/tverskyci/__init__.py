@@ -36,18 +36,6 @@ from .planning import (
     required_total,
     variance_bound,
 )
-from .simulation import (
-    HistogramSummary,
-    ScoreModel,
-    SimulationConfig,
-    SimulationReport,
-    bootstrap_se,
-    histogram_summary,
-    population_index,
-    population_variance,
-    replication_estimates,
-    run_simulation,
-)
 
 __version__ = "0.1.0"
 
@@ -90,3 +78,25 @@ __all__ = [
     "variance_bound",
     "weighted_error_ratio",
 ]
+
+# The simulation names load numpy, so they are imported on first access only.
+_SIMULATION_NAMES = {
+    "HistogramSummary",
+    "ScoreModel",
+    "SimulationConfig",
+    "SimulationReport",
+    "bootstrap_se",
+    "histogram_summary",
+    "population_index",
+    "population_variance",
+    "replication_estimates",
+    "run_simulation",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _SIMULATION_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,13 +34,6 @@ from .estimation import (
 )
 from .ingest import MODES, ingest
 from .planning import bound_table, planning_bound, required_events, required_total
-from .simulation import (
-    ScoreModel,
-    SimulationConfig,
-    bootstrap_se,
-    histogram_summary,
-    run_simulation,
-)
 
 _EXIT_CODES: tuple[tuple[type[TverskyCIError], int], ...] = (
     (UsageError, 1),
@@ -301,6 +294,9 @@ def _cmd_bound_table(args: argparse.Namespace) -> tuple[dict, list[str], list[st
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+    # simulation loads numpy; only this command and bootstrap-check import it
+    from .simulation import ScoreModel, SimulationConfig, histogram_summary, run_simulation
+
     params = _resolve_params(args)
     model = ScoreModel(prevalence=args.pz, shift=args.mu, threshold=args.threshold)
     config = SimulationConfig(
@@ -346,6 +342,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
 
 
 def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+    from .simulation import bootstrap_se
+
     params = _resolve_params(args)
     counts = _resolve_data(args)
     report = confidence_interval(counts, params)

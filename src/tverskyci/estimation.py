@@ -37,9 +37,9 @@ All functions are pure and thread-safe; values are freely copyable.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateSampleError, InvalidParameterError
 
@@ -62,6 +62,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+# numpy scalars pass as numbers.Integral / numbers.Real; the builtins come
+# first because isinstance stops at them before the slower ABC check.
+_INTEGRAL = (int, numbers.Integral)
+_REAL = (float, int, numbers.Real)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def _require_count(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, _INTEGRAL):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     out = int(value)
     if out < 0:
@@ -79,7 +83,7 @@ def _require_count(value: object, name: str) -> int:
 
 
 def _require_positive(value: object, name: str) -> float:
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if not isinstance(value, _REAL):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out) or out <= 0.0:
@@ -88,7 +92,7 @@ def _require_positive(value: object, name: str) -> float:
 
 
 def _require_open_unit(value: object, name: str) -> float:
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if not isinstance(value, _REAL):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     out = float(value)
     if not (0.0 < out < 1.0):
@@ -343,20 +347,38 @@ def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyPar
 
 def _variance_kernel(r1, r2, t, tp_rate):
     """(r2 + r1^2) * t^4 / tp_rate with r1 = 1/t - 1 and r2 = 1/t2 - 1, for
-    floats or float64 arrays. np.float_power rounds t^4 as libm pow does,
-    the same bits as float ** 4; ``**`` and np.power on arrays do not."""
-    return (r2 + r1 * r1) * np.float_power(t, 4.0) / tp_rate
+    floats or float64 arrays. A float's t ** 4.0 is libm pow, and so is
+    np.float_power on arrays: the same bits; ``**`` and np.power on arrays
+    are not. Where t^4 falls below the smallest normal double (t under
+    about 1.2e-77) but r2 + r1^2 is finite, t^2 is folded into each term
+    instead, so the variance does not underflow to 0."""
+    if isinstance(t, float):
+        t4 = t**4.0
+    else:
+        import numpy as np  # array callers (the simulation) have loaded it already
+
+        t4 = np.float_power(t, 4.0)
+    numerator = r2 + r1 * r1
+    variance = numerator * t4 / tp_rate
+    tiny = (t4 < sys.float_info.min) & (numerator < math.inf)
+    if _any(tiny):
+        rt = r1 * t
+        scaled = (r2 * t * t + rt * rt) * (t * t) / tp_rate
+        variance = scaled if isinstance(t, float) else np.where(tiny, scaled, variance)
+    return variance
 
 
 def _any(mask) -> bool:
-    # np.any takes microseconds on a plain bool, which scalar callers would pay.
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+    # Scalar callers pass a plain bool, array callers a numpy mask.
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 def _first(mask, *values) -> tuple[float, ...]:
     # The values at the first true entry of mask, for error messages.
-    i = np.argmax(mask)
-    return tuple(float(np.ravel(v)[i]) for v in values)
+    if isinstance(mask, bool):
+        return tuple(float(v) for v in values)
+    i = mask.argmax()
+    return tuple(float(v.flat[i]) for v in values)
 
 
 def _summary_variance(tversky, tversky_sq, tp_rate, params: TverskyParams):
@@ -507,7 +529,7 @@ def normal_quantile(p: float) -> float:
     (observed ~2e-15). No dependency beyond math.erfc, so the same digits
     are reproducible anywhere.
     """
-    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+    if isinstance(p, bool) or not isinstance(p, _REAL):
         raise InvalidParameterError(f"p must be a number, got {p!r}")
     p = float(p)
     if not (0.0 < p < 1.0):

@@ -195,9 +195,11 @@ def _intervals(
     # Python's int / int rounds once, as ConfusionCounts.tp_rate does; int64
     # division rounds both operands to float64 first, which differs past 2**53.
     tp_rate = (tp.astype(object) / totals.astype(object)).astype(float)
-    estimate = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params))
-    estimate_sq = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params.squared()))
-    variance = _summary_variance(estimate, estimate_sq, tp_rate, params)
+    # Overflow to inf or nan is expected here: _summary_variance raises on it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        estimate = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params))
+        estimate_sq = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params.squared()))
+        variance = _summary_variance(estimate, estimate_sq, tp_rate, params)
     se = np.sqrt(variance / totals)
     half_width = normal_quantile(0.5 * (1.0 + level)) * se
     lower, upper = np.maximum(0.0, estimate - half_width), np.minimum(1.0, estimate + half_width)

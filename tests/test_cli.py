@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -288,6 +292,7 @@ def test_simulate_draws_once(capsys, monkeypatch):
         ("ci", "--summary", "278,0.2398975789534,5e-324,0.0077846957090", "--level", "6e-05"),
         ("ci", "--summary", "655,0.7184292532130084,0.81213,5e-324", "--ab", "4.0,27612534.17"),
         ("ci", "--counts", "1,1000000000,0,0", "--ab", "1,1e149"),
+        ("simulate", "--ab", "1e154,1", "--n", "50", "--replications", "20"),
     ],
 )
 def test_out_of_range_inputs_are_exit_4(capsys, argv):
@@ -344,3 +349,37 @@ def test_dataclass_payloads_have_exactly_the_schema_fields():
     assert config == properties(simulate["config"])
     assert _fields(SimulationReport, "estimates") == properties(simulate["report"])
     assert _fields(HistogramSummary) == properties(simulate["histogram"]["anyOf"][1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ci", "--counts", "1,1000000000,0,0", "--ab", "1,1e149"),
+        ("simulate", "--ab", "1e154,1", "--n", "50", "--replications", "20"),
+    ],
+)
+def test_overflowing_inputs_print_one_error_line_as_a_process(argv):
+    # pytest captures floating-point warnings in-process; a user's terminal
+    # does not, so run the CLI as its own process.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tverskyci.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("tverskyci: error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_ci_with_an_index_whose_fourth_power_underflows(capsys):
+    # t = 1e-100, so t^4 is below the smallest double; the variance is
+    # (1e200 + 1e200) * 1e-400 / 0.5 = 4e-200, not 0.
+    payload, err = run_json(capsys, "ci", "--counts", "1,0,1,0", "--ab", "1e100,1")
+    assert payload["variance"] == pytest.approx(4e-200, rel=1e-9, abs=0.0)
+    assert payload["se"] > 0.0
+    assert err == ""

@@ -359,3 +359,52 @@ def test_exact_counts_pass_every_consistency_bound(tp, fn, fp, tn, a, b):
     # Bounds sit exactly on the data when only one error kind occurs or tn
     # is 0; a huge tp puts t within rounding of 1.
     assert asymptotic_variance(ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b)) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# tiny indices and numpy scalars
+# ---------------------------------------------------------------------------
+
+
+def test_variance_of_an_index_whose_fourth_power_underflows():
+    # t = 1e-100, t2 = 1e-200: (1e200 + 1e200) * t^4 / 0.5 = 4e-200, although
+    # t^4 itself is below the smallest double.
+    report = confidence_interval(ConfusionCounts(1, 0, 1, 0), TverskyParams(1e100, 1.0))
+    assert report.variance == pytest.approx(4e-200, rel=1e-9, abs=0.0)
+    assert not report.at_boundary
+
+
+@pytest.mark.parametrize("exponent", [70, 76, 78, 80, 100, 150])
+def test_tiny_index_variance_is_accurate(exponent):
+    # tversky = 1/(1 + 10^k) and tversky_sq = 1/(1 + 10^2k); the exact
+    # variance is (10^2k + 10^2k) * tversky^4 / tp_rate.
+    from fractions import Fraction
+
+    counts = ConfusionCounts(1, 0, 1, 0)
+    k = Fraction(10) ** exponent
+    t, t2 = 1 / (1 + k), 1 / (1 + k * k)
+    exact = ((1 / t2 - 1) + (1 / t - 1) ** 2) * t**4 * 2
+    variance = asymptotic_variance(counts, TverskyParams(float(10**exponent), 1.0))
+    assert variance == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_validators_accept_numpy_scalars():
+    counts = ConfusionCounts(*(np.int64(x) for x in (300, 60, 40, 600)))
+    assert counts == ConfusionCounts(300, 60, 40, 600)
+    assert type(counts.tp) is int
+    for kind in (np.float64, np.float32):
+        params = TverskyParams(kind(0.5), kind(0.5))
+        assert params == TverskyParams(float(kind(0.5)), float(kind(0.5)))
+        got = confidence_interval(counts, params, kind(0.9))
+        assert got == confidence_interval(counts, params, float(kind(0.9)))
+    assert normal_quantile(np.float64(0.975)).hex() == normal_quantile(0.975).hex()
+    assert normal_quantile(np.float32(0.5)) == 0.0
+
+
+def test_validators_still_reject_bools():
+    with pytest.raises(InvalidParameterError, match="tp must be an integer"):
+        ConfusionCounts(True, 1, 1, 1)
+    with pytest.raises(InvalidParameterError, match="p must be a number"):
+        normal_quantile(True)
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        TverskyParams("0.5", 0.5)

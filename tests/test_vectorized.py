@@ -192,3 +192,14 @@ def _bootstrap_oracle(counts, params, resamples, seed):
 def test_chunked_bootstrap_matches_single_draw(counts, resamples, seed):
     got = bootstrap_se(counts, F05, resamples=resamples, seed=seed)
     assert got.hex() == _bootstrap_oracle(counts, F05, resamples, seed).hex()
+
+
+def test_vectorized_tiny_index_matches_scalar_bitwise():
+    # Rows 0 and 2 have an index near 1e-100, whose t^4 underflows; row 1 is
+    # ordinary. Each row must take its own branch of the kernel.
+    params = TverskyParams(1e100, 1.0)
+    rows = [(1, 0, 1, 0), (5, 3, 0, 9), (3, 7, 2, 1)]
+    _, se, _, _ = _intervals(np.array(rows, dtype=np.int64), params, 0.95)
+    want = [confidence_interval(ConfusionCounts(*row), params).se for row in rows]
+    assert [x.hex() for x in se.tolist()] == [x.hex() for x in want]
+    assert se[0] > 0.0 and se[2] > 0.0
