@@ -266,7 +266,10 @@ def weighted_error_ratio(counts: ConfusionCounts, params: TverskyParams) -> floa
 def _error_ratio(tp, fn, fp, params: TverskyParams):
     # (a*fp + b*fn) / tp for Python ints or int64 arrays alike; int64 converts
     # to float64 with the same rounding as int, so both give the same bits.
-    return (params.fp_weight * fp + params.fn_weight * fn) / tp
+    try:
+        return (params.fp_weight * fp + params.fn_weight * fn) / tp
+    except OverflowError:  # a Python int count beyond the float range
+        raise InvalidParameterError("confusion counts are too large for floating point") from None
 
 
 def tversky_index(counts: ConfusionCounts, params: TverskyParams) -> float:

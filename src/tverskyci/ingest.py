@@ -14,10 +14,12 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. Input must be UTF-8 (a leading byte
-order mark is ignored); anything else is a DataError. Lines end at ``\n``,
-``\r\n`` or ``\r`` and are numbered from 1 as an editor numbers them;
-blank lines are skipped but still counted.
+does not grow with the number of rows. Common delimited rows are counted by
+a few inline checks; any other row goes on the spot through the per-row
+parser, so errors and their line numbers are the same. Input must be UTF-8
+(a leading byte order mark is ignored); anything else is a DataError. Lines
+end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1 as an editor
+numbers them; blank lines are skipped but still counted.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ def _parse_score(raw: object, where: str) -> float:
         raw = raw.strip()
     try:
         value = float(raw)  # type: ignore[arg-type]
+    except OverflowError:  # a JSON integer beyond the float range
+        value = math.inf
     except (TypeError, ValueError):
         raise DataError(f"{where}: column 'score' must be a number, got {raw!r}") from None
     if isinstance(raw, bool) or not math.isfinite(value):
@@ -77,8 +81,9 @@ def _resolve_mode(requested: str, value_column: str, path: str) -> str:
 def _json_record(line: str, where: str) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        reason = getattr(exc, "msg", str(exc).partition(";")[0])
+        raise DataError(f"{where}: invalid JSON: {reason}") from None
     if not isinstance(record, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
     return record
@@ -99,14 +104,17 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     cells = [0, 0, 0, 0]  # tp, fn, fp, tn
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            rows = ((i, line.strip()) for i, line in enumerate(fh, 1))
+            lines = enumerate(fh, 1)
+            rows = ((i, line.strip()) for i, line in lines)
             rows = ((i, line) for i, line in rows if line)
             first = next(rows, None)
             if first is None:
                 raise DataError(f"{path}: file is empty")
-            parse = _jsonl_pairs if first[1].startswith("{") else _delimited_pairs
-            for z, a in parse(itertools.chain((first,), rows), mode, threshold, path):
-                cells[3 - 2 * z - a] += 1
+            if first[1].startswith("{"):
+                for z, a in _jsonl_pairs(itertools.chain((first,), rows), mode, threshold, path):
+                    cells[3 - 2 * z - a] += 1
+            else:  # rows has read through the header only
+                _count_delimited(first, lines, mode, threshold, path, cells)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
     except OSError as exc:
@@ -119,10 +127,12 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     return ConfusionCounts(*cells)
 
 
-def _delimited_pairs(
-    rows: Iterator[tuple[int, str]], mode: str, threshold: float, path: str
-) -> Iterator[tuple[int, int]]:
-    header_line_no, header = next(rows)
+def _count_delimited(
+    first: tuple[int, str], lines: Iterator, mode: str, threshold: float, path: str, cells: list
+) -> None:
+    """Count the rows after the header row first into cells (tp, fn, fp, tn);
+    lines resumes just after the header."""
+    header_line_no, header = first
     delimiter = "\t" if "\t" in header else ","
     columns = [c.strip() for c in header.split(delimiter)]
     where = f"{path}:{header_line_no}"
@@ -134,17 +144,37 @@ def _delimited_pairs(
             f"{where}: header must be exactly columns 'z' and 'a' or 'z' and 'score', "
             f"got {columns!r}"
         )
-    value_column = columns[0] if columns[0] != "z" else columns[1]
-    resolved = _resolve_mode(mode, value_column, path)
-    z_at = columns.index("z")
+    z_at, v_at = (0, 1) if columns[0] == "z" else (1, 0)
+    resolved = _resolve_mode(mode, columns[v_at], path)
 
-    for line_no, line in rows:
-        fields = line.split(delimiter)
+    def count_row(line_no: int, line: str) -> None:
+        fields = line.strip().split(delimiter)
+        if fields == [""]:  # a blank line
+            return
         where = f"{path}:{line_no}"
         if len(fields) != 2:
             raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
         z = _parse_binary(fields[z_at], "z", where)
-        yield z, _prediction(fields[1 - z_at], resolved, threshold, where)
+        cells[3 - 2 * z - _prediction(fields[v_at], resolved, threshold, where)] += 1
+
+    # count_row is the per-row parser: it counts a row, skips a blank line or
+    # raises. The loop counts inline only rows that count_row would count the
+    # same way (float strips no more than str.strip) and hands it any other.
+    binary, scores = {"0": 0, "1": 1}, resolved == "score"
+    for line_no, line in lines:
+        fields = line.split(delimiter)
+        try:
+            if scores:
+                score = float(fields[v_at])
+                if len(fields) == 2 and math.isfinite(score):
+                    cells[3 - 2 * binary[fields[z_at].strip()] - (score > threshold)] += 1
+                    continue
+            elif len(fields) == 2:
+                cells[3 - 2 * binary[fields[z_at].strip()] - binary[fields[v_at].strip()]] += 1
+                continue
+        except (IndexError, KeyError, ValueError):
+            pass
+        count_row(line_no, line)
 
 
 def _jsonl_pairs(

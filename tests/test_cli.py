@@ -293,6 +293,8 @@ def test_simulate_draws_once(capsys, monkeypatch):
         ("ci", "--summary", "655,0.7184292532130084,0.81213,5e-324", "--ab", "4.0,27612534.17"),
         ("ci", "--counts", "1,1000000000,0,0", "--ab", "1,1e149"),
         ("simulate", "--ab", "1e154,1", "--n", "50", "--replications", "20"),
+        ("ci", "--counts", f"1,{10**400},0,0"),
+        ("estimate", "--counts", f"1,{10**400},0,0"),
     ],
 )
 def test_out_of_range_inputs_are_exit_4(capsys, argv):
@@ -351,6 +353,20 @@ def test_dataclass_payloads_have_exactly_the_schema_fields():
     assert _fields(HistogramSummary) == properties(simulate["histogram"]["anyOf"][1])
 
 
+def _run_process(*argv, stdin=None):
+    """Run the CLI as its own process on the checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tverskyci.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,15 +377,7 @@ def test_dataclass_payloads_have_exactly_the_schema_fields():
 def test_overflowing_inputs_print_one_error_line_as_a_process(argv):
     # pytest captures floating-point warnings in-process; a user's terminal
     # does not, so run the CLI as its own process.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "tverskyci.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = _run_process(*argv)
     assert result.returncode == 4
     assert result.stdout == ""
     assert result.stderr.startswith("tverskyci: error: ")
@@ -383,3 +391,15 @@ def test_ci_with_an_index_whose_fourth_power_underflows(capsys):
     assert payload["variance"] == pytest.approx(4e-200, rel=1e-9, abs=0.0)
     assert payload["se"] > 0.0
     assert err == ""
+
+
+def test_bad_row_read_from_a_pipe_is_reported_once_with_its_line():
+    # A pipe can be read only once, so the row must be checked where it is read.
+    rows = "z,score\n1,0.9\n0,0.2\n1,abc\n0,0.4\n"
+    result = _run_process("ci", "--input", "/dev/stdin", stdin=rows)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "tverskyci: error: /dev/stdin:4: column 'score' must be a number, got 'abc'\n"
+    )
+

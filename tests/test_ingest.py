@@ -1,8 +1,10 @@
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverskyci import (
@@ -13,6 +15,8 @@ from tverskyci import (
     ingest,
     tversky_index,
 )
+
+from tests._reference import reference_ingest
 
 
 def _write(tmp_path, name, text):
@@ -256,3 +260,113 @@ def test_ingest_round_trip_property(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("records") / "records.txt"
     path.write_bytes(raw)
     assert ingest(str(path), threshold=_THRESHOLD) == expected
+
+
+def test_jsonl_score_beyond_the_float_range_rejected(tmp_path):
+    text = '{"z": 0, "score": 0.5}\n{"z": 1, "score": -%d}\n' % 10**400
+    path = _write(tmp_path, "huge.jsonl", text)
+    with pytest.raises(DataError, match=r"huge\.jsonl:2: column 'score' must be a finite number"):
+        ingest(path)
+
+
+def test_jsonl_integer_past_the_digit_limit_rejected(tmp_path):
+    path = _write(tmp_path, "digits.jsonl", '{"z": 1, "score": %s}\n' % ("9" * 5000))
+    with pytest.raises(DataError, match=r"digits\.jsonl:1: invalid JSON: Exceeds the limit"):
+        ingest(path)
+
+
+# Values a quick check could get wrong: float() accepts underscores, nan,
+# inf, signed zero and Arabic-Indic digits, none of them a 0/1 label; " 1 "
+# is a label once stripped; 1e400 overflows to inf; 0.25 ties the threshold.
+_ODD_VALUES = ["1_0", "nan", "inf", "-0", "\u0661", " 1 ", "1.0", "", "x"]
+_ODD_SCORES = _ODD_VALUES + ["-inf", "1e400", "0.25"]
+# Whitespace that str.strip removes; float() strips all of it but \x1c.
+_PADS = ["", "", " ", "  ", "\f", "\v", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def _delimited_files(draw):
+    """A delimited record file as bytes and the mode to ask for: padded rows
+    between blank lines, some with the wrong field count or an odd value."""
+    value_column = draw(st.sampled_from(["a", "score"]))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    columns = ["z", value_column]
+    if draw(st.booleans()):
+        columns.reverse()
+
+    def value(column):
+        if column == "score":
+            return draw(st.one_of(st.just("0.25"), st.floats(-2, 2).map(repr)))
+        return draw(st.sampled_from(["0", "1"]))
+
+    def pad(text):
+        return draw(st.sampled_from(_PADS)) + text + draw(st.sampled_from(_PADS))
+
+    rows = []
+    spread = draw(st.sampled_from([3, 10, 40]))  # about one row in spread is irregular
+    for _ in range(draw(st.integers(0, 40))):
+        row = [value(c) for c in columns]
+        kind = "regular"
+        if draw(st.integers(0, spread)) == 0:
+            kind = draw(st.sampled_from(["1 field", "3 fields"] + ["odd value"] * 3))
+        if kind == "1 field":
+            del row[1]
+        elif kind == "3 fields":
+            row.append(value("z"))
+        elif kind == "odd value":
+            at = draw(st.integers(0, 1))
+            row[at] = draw(st.sampled_from(_ODD_SCORES if columns[at] == "score" else _ODD_VALUES))
+        rows.append(row)
+    lines = [delimiter.join(pad(c) for c in columns)]
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\f", " \t ", "\u2028"])))
+        lines.append(delimiter.join(pad(field) for field in row))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    raw = text.encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    found = "prediction" if value_column == "a" else "score"
+    mode = draw(st.sampled_from(["auto", "auto", found, "prediction", "score"]))
+    return raw, mode
+
+
+def _outcome(parse, path, mode):
+    try:
+        return parse(path, mode=mode, threshold=_THRESHOLD)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(_delimited_files())
+@example((b"z,score\n1,0.5\n0,nan\n", "auto"))
+@example((b"score,z\n0.5,1\n0.1,0,1\n", "auto"))
+@example((b"z\ta\n1\t1\n0\t1.0\n", "auto"))
+@example((b"a,z\n1,\x1c1\n1,1\x1c\n", "prediction"))
+@example((b"z,score\n\x1c1,0.5\x1c\n1,1_0\n0,\xd9\xa1 \n", "score"))
+def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
+    raw, mode = case
+    path = str(tmp_path_factory.mktemp("records") / "records.csv")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    assert _outcome(ingest, path, mode) == _outcome(reference_ingest, path, mode)
+
+
+def test_ingest_memory_does_not_grow_with_rows(tmp_path):
+    # 200k rows with six-decimal scores are almost all distinct lines, so
+    # neither per-row nor per-distinct-line storage fits under 1 MiB.
+    rng = random.Random(3)
+    path = tmp_path / "scores.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("z,score\n")
+        for _ in range(200):
+            fh.writelines(f"{rng.randint(0, 1)},{rng.random():.6f}\n" for _ in range(1000))
+    tracemalloc.start()
+    try:
+        counts = ingest(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.n == 200_000
+    assert peak < 2**20
