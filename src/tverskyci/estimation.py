@@ -210,6 +210,10 @@ class SummaryStats:
         n = _require_count(self.n, "n")
         if n < 1:
             raise InvalidParameterError("n must be >= 1")
+        try:
+            float(n)  # the variance is divided by n, and tp_rate underflows past this
+        except OverflowError:
+            raise InvalidParameterError("confusion counts are too large for floating point") from None
         object.__setattr__(self, "n", n)
         rate = float(self.tp_rate)
         if not (0.0 <= rate <= 1.0) or not math.isfinite(rate):

@@ -15,11 +15,13 @@ carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
 does not grow with the number of rows. Common delimited rows are counted by
-a few inline checks; any other row goes on the spot through the per-row
-parser, so errors and their line numbers are the same. Input must be UTF-8
-(a leading byte order mark is ignored); anything else is a DataError. Lines
-end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1 as an editor
-numbers them; blank lines are skipped but still counted.
+a few inline checks that keep no line count; any other row goes on the spot
+through the per-row parser, so errors are the same, and its line number is
+worked out then from the header's line number, the rows counted and the
+blank lines skipped. Input must be UTF-8 (a leading byte order mark is
+ignored); anything else is a DataError. Lines end at ``\n``, ``\r\n`` or
+``\r`` and are numbered from 1 as an editor numbers them; blank lines are
+skipped but still counted.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ def _json_record(line: str, where: str) -> dict:
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         reason = getattr(exc, "msg", str(exc).partition(";")[0])
         raise DataError(f"{where}: invalid JSON: {reason}") from None
+    except RecursionError:
+        raise DataError(f"{where}: invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
     return record
@@ -114,7 +118,7 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
                 for z, a in _jsonl_pairs(itertools.chain((first,), rows), mode, threshold, path):
                     cells[3 - 2 * z - a] += 1
             else:  # rows has read through the header only
-                _count_delimited(first, lines, mode, threshold, path, cells)
+                _count_delimited(first, fh, mode, threshold, path, cells)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
     except OSError as exc:
@@ -127,11 +131,27 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     return ConfusionCounts(*cells)
 
 
+def _count_row(
+    line: str, where: str, delimiter: str, z_at: int, resolved: str, threshold: float, cells: list
+) -> bool:
+    """The per-row parser of delimited text: count line into cells and return
+    True, return False for a blank line, or raise a DataError."""
+    fields = line.strip().split(delimiter)
+    if fields == [""]:
+        return False
+    if len(fields) != 2:
+        raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
+    z = _parse_binary(fields[z_at], "z", where)
+    cells[3 - 2 * z - _prediction(fields[1 - z_at], resolved, threshold, where)] += 1
+    return True
+
+
 def _count_delimited(
-    first: tuple[int, str], lines: Iterator, mode: str, threshold: float, path: str, cells: list
+    first: tuple[int, str], fh: Iterator[str], mode: str, threshold: float, path: str, cells: list
 ) -> None:
     """Count the rows after the header row first into cells (tp, fn, fp, tn);
-    lines resumes just after the header."""
+    fh resumes just after the header. A line handed to _count_row is numbered
+    from the totals: each line between it and the header was counted or blank."""
     header_line_no, header = first
     delimiter = "\t" if "\t" in header else ","
     columns = [c.strip() for c in header.split(delimiter)]
@@ -144,37 +164,36 @@ def _count_delimited(
             f"{where}: header must be exactly columns 'z' and 'a' or 'z' and 'score', "
             f"got {columns!r}"
         )
-    z_at, v_at = (0, 1) if columns[0] == "z" else (1, 0)
-    resolved = _resolve_mode(mode, columns[v_at], path)
+    z_at = 0 if columns[0] == "z" else 1
+    resolved = _resolve_mode(mode, columns[1 - z_at], path)
 
-    def count_row(line_no: int, line: str) -> None:
-        fields = line.strip().split(delimiter)
-        if fields == [""]:  # a blank line
-            return
-        where = f"{path}:{line_no}"
-        if len(fields) != 2:
-            raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
-        z = _parse_binary(fields[z_at], "z", where)
-        cells[3 - 2 * z - _prediction(fields[v_at], resolved, threshold, where)] += 1
-
-    # count_row is the per-row parser: it counts a row, skips a blank line or
-    # raises. The loop counts inline only rows that count_row would count the
-    # same way (float strips no more than str.strip) and hands it any other.
-    binary, scores = {"0": 0, "1": 1}, resolved == "score"
-    for line_no, line in lines:
-        fields = line.split(delimiter)
+    # Inline, a label must be 0 or 1 with at most a space on either side (the
+    # last field keeps its newline) and the value is cut at the delimiter
+    # nearest it, so a row counted here has the two fields _count_row would
+    # count the same way (float strips no more than str.strip); it gets any
+    # other line.
+    ends = ("", " ", "\n", " \n")
+    binary = {pad + label + end: int(label) for label in "01" for pad in ("", " ") for end in ends}
+    negative = {label: 3 - 2 * z for label, z in binary.items()}  # z -> its cell with a = 0
+    scores, z_first, blanks, isfinite = resolved == "score", z_at == 0, 0, math.isfinite
+    for line in fh:
+        if z_first:
+            z, _, value = line.rpartition(delimiter)
+        else:
+            value, _, z = line.partition(delimiter)
         try:
             if scores:
-                score = float(fields[v_at])
-                if len(fields) == 2 and math.isfinite(score):
-                    cells[3 - 2 * binary[fields[z_at].strip()] - (score > threshold)] += 1
+                score = float(value)
+                if isfinite(score):
+                    cells[negative[z] - (score > threshold)] += 1
                     continue
-            elif len(fields) == 2:
-                cells[3 - 2 * binary[fields[z_at].strip()] - binary[fields[v_at].strip()]] += 1
+            else:
+                cells[negative[z] - binary[value]] += 1
                 continue
-        except (IndexError, KeyError, ValueError):
+        except (KeyError, ValueError):
             pass
-        count_row(line_no, line)
+        where = f"{path}:{header_line_no + sum(cells) + blanks + 1}"
+        blanks += not _count_row(line, where, delimiter, z_at, resolved, threshold, cells)
 
 
 def _jsonl_pairs(

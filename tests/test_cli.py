@@ -295,6 +295,9 @@ def test_simulate_draws_once(capsys, monkeypatch):
         ("simulate", "--ab", "1e154,1", "--n", "50", "--replications", "20"),
         ("ci", "--counts", f"1,{10**400},0,0"),
         ("estimate", "--counts", f"1,{10**400},0,0"),
+        ("ci", "--counts", f"1,0,0,{10**400}"),
+        ("ci", "--counts", f"1,0,0,{10**310}"),
+        ("ci", "--summary", f"{10**400},0.5,0.8,0.8", "--ab", "1,1"),
     ],
 )
 def test_out_of_range_inputs_are_exit_4(capsys, argv):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import tracemalloc
@@ -269,6 +270,14 @@ def test_jsonl_score_beyond_the_float_range_rejected(tmp_path):
         ingest(path)
 
 
+def test_jsonl_nested_too_deeply_rejected(tmp_path):
+    depth = 100_000
+    text = '{"z": 0, "a": 0}\n{"z": 1, "a": %s%s}\n' % ("[" * depth, "]" * depth)
+    path = _write(tmp_path, "deep.jsonl", text)
+    with pytest.raises(DataError, match=r"deep\.jsonl:2: invalid JSON: nested too deeply"):
+        ingest(path)
+
+
 def test_jsonl_integer_past_the_digit_limit_rejected(tmp_path):
     path = _write(tmp_path, "digits.jsonl", '{"z": 1, "score": %s}\n' % ("9" * 5000))
     with pytest.raises(DataError, match=r"digits\.jsonl:1: invalid JSON: Exceeds the limit"):
@@ -345,12 +354,44 @@ def _outcome(parse, path, mode):
 @example((b"z\ta\n1\t1\n0\t1.0\n", "auto"))
 @example((b"a,z\n1,\x1c1\n1,1\x1c\n", "prediction"))
 @example((b"z,score\n\x1c1,0.5\x1c\n1,1_0\n0,\xd9\xa1 \n", "score"))
+# Line numbers after blank lines before the header, padded and blank rows.
+@example((b"\n \n\nz,score\n1,0.5\n\n 0 , 0.1 \n \n1,0.7\n0,x\n", "auto"))
+@example((b"z,a\r1,1\r\r0,0\r1,0.5\r", "auto"))
+@example((b"score,z\n0.5,1\n\n0.1, 0\n0.2,1,0\n", "auto"))
+@example((b"z\ta\n1\t1\n\n0\t0\n1\t7\n", "auto"))
+# float strips a tab, so a doubled tab must not pass for one delimiter.
+@example((b"z\tscore\n1\t\t0.5\n", "auto"))
+@example((b"score\tz\n0.5\t\t1\n", "auto"))
+@example((b"a\tz\n1\t\t1\n", "auto"))
 def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
     raw, mode = case
     path = str(tmp_path_factory.mktemp("records") / "records.csv")
     with open(path, "wb") as fh:
         fh.write(raw)
     assert _outcome(ingest, path, mode) == _outcome(reference_ingest, path, mode)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z,score\n1,0.5\n0,0.125\n1,-3e-2\n0,1\n",
+        "score,z\r\n0.5,1\r\n0.125,0\r\n-3e-2,1\r\n1,0",
+        "z,a\n1,1\n1,0\n0,1\n0,0",
+        "a\tz\n1\t1\n0\t1\n1\t0\n0\t0\n",
+        "z, a\n1, 1\n 1 , 0\n0 ,1\n0, 0 \n",  # a space beside a label stays inline
+    ],
+)
+def test_canonical_rows_never_reach_the_per_row_parser(tmp_path, monkeypatch, text):
+    ingest_module = importlib.import_module("tverskyci.ingest")  # the package exports the function
+    calls = []
+    for name in ("_parse_score", "_parse_binary"):
+        helper = getattr(ingest_module, name)
+        monkeypatch.setattr(
+            ingest_module, name, lambda *args, _helper=helper: calls.append(args) or _helper(*args)
+        )
+    counts = ingest(_write(tmp_path, "canonical.csv", text), threshold=0.25)
+    assert counts.n == 4
+    assert calls == []
 
 
 def test_ingest_memory_does_not_grow_with_rows(tmp_path):
