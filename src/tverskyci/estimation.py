@@ -28,8 +28,10 @@ a level-L interval is the estimate +/- normal_quantile((1+L)/2) * se.
 
 Two input paths are first-class: exact confusion counts, or a
 :class:`SummaryStats` tuple (n, tp_rate, tversky, tversky_sq) when only
-summary values are available. The counts path computes the squared-weight
-index exactly rather than approximating it.
+summary values are available. Counts give 1/t - 1 and 1/t2 - 1 directly
+as the weighted error ratios (a*fp + b*fn)/tp and (a^2*fp + b^2*fn)/tp,
+which keep every digit however close t is to 1. Summary input is first
+checked against every bound the counts would imply.
 
 All functions are pure and thread-safe; values are freely copyable.
 """
@@ -89,6 +91,14 @@ def _require_positive(value: object, name: str) -> float:
     if not math.isfinite(out) or out <= 0.0:
         raise InvalidParameterError(f"{name} must be finite and > 0, got {out}")
     return out
+
+
+def _require_float_range(n: int) -> int:
+    try:
+        float(n)  # the variance is divided by n, and tp_rate underflows past this
+    except OverflowError:
+        raise InvalidParameterError("confusion counts are too large for floating point") from None
+    return n
 
 
 def _require_open_unit(value: object, name: str) -> float:
@@ -210,11 +220,7 @@ class SummaryStats:
         n = _require_count(self.n, "n")
         if n < 1:
             raise InvalidParameterError("n must be >= 1")
-        try:
-            float(n)  # the variance is divided by n, and tp_rate underflows past this
-        except OverflowError:
-            raise InvalidParameterError("confusion counts are too large for floating point") from None
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _require_float_range(n))
         rate = float(self.tp_rate)
         if not (0.0 <= rate <= 1.0) or not math.isfinite(rate):
             raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {self.tp_rate!r}")
@@ -268,8 +274,9 @@ def weighted_error_ratio(counts: ConfusionCounts, params: TverskyParams) -> floa
 
 
 def _error_ratio(tp, fn, fp, params: TverskyParams):
-    # (a*fp + b*fn) / tp for Python ints or int64 arrays alike; int64 converts
-    # to float64 with the same rounding as int, so both give the same bits.
+    # (a*fp + b*fn) / tp for Python ints, int64 arrays or cell probabilities;
+    # int64 converts to float64 with the same rounding as int, so both give
+    # the same bits.
     try:
         return (params.fp_weight * fp + params.fn_weight * fn) / tp
     except OverflowError:  # a Python int count beyond the float range
@@ -303,10 +310,9 @@ def recall(counts: ConfusionCounts) -> float:
 
 
 def summarize(counts: ConfusionCounts, params: TverskyParams) -> SummaryStats:
-    """Exact summary statistics for the variance formula.
-
-    The squared-weight index is computed from the counts with weights
-    (a^2, b^2) directly, not approximated from the plain index.
+    """Exact summary statistics for the variance formula, the squared-weight
+    index computed with weights (a^2, b^2) directly. The variance of counts
+    does not go through this: 1/t - 1 from an index near 1 cancels digits.
     """
     return SummaryStats(
         n=counts.n,
@@ -322,15 +328,19 @@ def summarize(counts: ConfusionCounts, params: TverskyParams) -> SummaryStats:
 
 # Slack for the summary-consistency checks below. Each r = 1/t - 1 carries
 # rounding error on the scale of 1/t, not of r, so the slack is relative to
-# the reciprocals; exact counts then pass however close t is to 1.
+# the reciprocals; summaries of exact counts then pass however close t is to 1.
 _CONSISTENCY_RTOL = 1e-9
 
 
-def _as_summary(data: ConfusionCounts | SummaryStats, params: TverskyParams) -> SummaryStats:
+def _index_and_variance(data: object, params: TverskyParams) -> tuple[float, float]:
     if isinstance(data, ConfusionCounts):
-        return summarize(data, params)
+        r1 = weighted_error_ratio(data, params)
+        r2 = _error_ratio(data.tp, data.fn, data.fp, params.squared())
+        t = 1.0 / (1.0 + r1)
+        tp_rate = data.tp / _require_float_range(data.n)
+        return t, _finite_variance(_variance_kernel(r1, r2, t, tp_rate))
     if isinstance(data, SummaryStats):
-        return data
+        return data.tversky, _summary_variance(data, params)
     raise InvalidParameterError(
         f"expected ConfusionCounts or SummaryStats, got {type(data).__name__}"
     )
@@ -339,17 +349,16 @@ def _as_summary(data: ConfusionCounts | SummaryStats, params: TverskyParams) -> 
 def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyParams) -> float:
     """Per-observation variance of the index estimate.
 
-    variance = (1/t2 - 1 + (1/t - 1)^2) * t^4 / tp_rate with t the index
-    and t2 the squared-weight index. Accepts exact counts (summarized
-    internally) or ready-made SummaryStats.
+    variance = (r2 + r1^2) * t^4 / tp_rate with t the index, r1 = 1/t - 1
+    and r2 = 1/t2 - 1 for the squared-weight index t2. Counts give r1 and
+    r2 as weighted error ratios, without the cancellation of 1/t - 1.
 
     Summary inputs are checked against every bound the counts imply. The
     error-odds ratio (1/t2 - 1) / (1/t - 1) is a weighted mean of the two
     weights, so it lies between min and max(fp_weight, fn_weight). And
     1/t - 1 = (a*fp + b*fn)/tp can be at most max_weight * (1/tp_rate - 1).
     """
-    stats = _as_summary(data, params)
-    return float(_summary_variance(stats.tversky, stats.tversky_sq, stats.tp_rate, params))
+    return _index_and_variance(data, params)[1]
 
 
 def _variance_kernel(r1, r2, t, tp_rate):
@@ -359,39 +368,34 @@ def _variance_kernel(r1, r2, t, tp_rate):
     are not. Where t^4 falls below the smallest normal double (t under
     about 1.2e-77) but r2 + r1^2 is finite, t^2 is folded into each term
     instead, so the variance does not underflow to 0."""
-    if isinstance(t, float):
-        t4 = t**4.0
-    else:
+    scalar = isinstance(t, float)
+    if not scalar:
         import numpy as np  # array callers (the simulation) have loaded it already
-
-        t4 = np.float_power(t, 4.0)
+    t4 = t**4.0 if scalar else np.float_power(t, 4.0)
     numerator = r2 + r1 * r1
-    variance = numerator * t4 / tp_rate
     tiny = (t4 < sys.float_info.min) & (numerator < math.inf)
-    if _any(tiny):
-        rt = r1 * t
-        scaled = (r2 * t * t + rt * rt) * (t * t) / tp_rate
-        variance = scaled if isinstance(t, float) else np.where(tiny, scaled, variance)
+    rt = r1 * t
+    scaled = (r2 * t * t + rt * rt) * (t * t) / tp_rate
+    variance = numerator * t4 / tp_rate
+    if scalar:
+        return scaled if tiny else variance
+    return np.where(tiny, scaled, variance)
+
+
+def _finite_variance(variance: float) -> float:
+    # An index near 0 makes 1/t or (1/t - 1)^2 overflow, giving inf or nan.
+    if not variance < math.inf:
+        raise InvalidParameterError(
+            f"the variance is {variance!r}: tversky or tversky_sq is too "
+            "close to 0 for floating point"
+        )
     return variance
 
 
-def _any(mask) -> bool:
-    # Scalar callers pass a plain bool, array callers a numpy mask.
-    return mask if isinstance(mask, bool) else bool(mask.any())
-
-
-def _first(mask, *values) -> tuple[float, ...]:
-    # The values at the first true entry of mask, for error messages.
-    if isinstance(mask, bool):
-        return tuple(float(v) for v in values)
-    i = mask.argmax()
-    return tuple(float(v.flat[i]) for v in values)
-
-
-def _summary_variance(tversky, tversky_sq, tp_rate, params: TverskyParams):
-    """asymptotic_variance on floats or same-shape float64 arrays, after the
-    consistency checks; any inconsistent element raises."""
-    if _any(tp_rate <= 0.0):
+def _summary_variance(stats: SummaryStats, params: TverskyParams) -> float:
+    """asymptotic_variance of summary input, after the consistency checks."""
+    tversky, tversky_sq, tp_rate = stats.tversky, stats.tversky_sq, stats.tp_rate
+    if tp_rate <= 0.0:
         raise DegenerateSampleError(
             "tp_rate is zero; the variance formula divides by the true-positive rate"
         )
@@ -399,39 +403,25 @@ def _summary_variance(tversky, tversky_sq, tp_rate, params: TverskyParams):
     r1, r2 = u1 - 1.0, u2 - 1.0
     lo, hi = min(params.fp_weight, params.fn_weight), params.max_weight
     tol = _CONSISTENCY_RTOL
-    bad = (r1 > 0.0) & (
-        (r2 - hi * r1 > tol * (u2 + hi * u1)) | (lo * r1 - r2 > tol * (u2 + lo * u1))
-    )
-    if _any(bad):
-        bad_r1, bad_r2 = _first(bad, r1, r2)
+    if r1 > 0.0 and (
+        r2 - hi * r1 > tol * (u2 + hi * u1) or lo * r1 - r2 > tol * (u2 + lo * u1)
+    ):
         raise InvalidParameterError(
             "inconsistent summary statistics: (1/tversky_sq - 1)/(1/tversky - 1) "
-            f"= {bad_r2 / bad_r1:.6g} lies outside the weight range [{lo:.6g}, {hi:.6g}]"
+            f"= {r2 / r1:.6g} lies outside the weight range [{lo:.6g}, {hi:.6g}]"
         )
     rate_bound = hi * (1.0 / tp_rate - 1.0)
-    bad = r1 - rate_bound > tol * (u1 + hi / tp_rate)
-    if _any(bad):
-        bad_r1, bad_bound = _first(bad, r1, rate_bound)
+    if r1 - rate_bound > tol * (u1 + hi / tp_rate):
         raise InvalidParameterError(
-            f"inconsistent summary statistics: 1/tversky - 1 = {bad_r1:.6g} exceeds "
-            f"max weight * (1/tp_rate - 1) = {bad_bound:.6g}"
+            f"inconsistent summary statistics: 1/tversky - 1 = {r1:.6g} exceeds "
+            f"max weight * (1/tp_rate - 1) = {rate_bound:.6g}"
         )
     # tversky = 1 means an error-free sample, so tversky_sq must be 1 too.
-    bad = (r1 == 0.0) & (r2 > 0.0)
-    if _any(bad):
+    if r1 == 0.0 and r2 > 0.0:
         raise InvalidParameterError(
-            "inconsistent summary statistics: tversky is 1 but tversky_sq is "
-            f"{_first(bad, tversky_sq)[0]!r}"
+            f"inconsistent summary statistics: tversky is 1 but tversky_sq is {tversky_sq!r}"
         )
-    variance = _variance_kernel(r1, r2, tversky, tp_rate)
-    # An index near 0 makes 1/t or (1/t - 1)^2 overflow, giving inf or nan.
-    bad = (variance != variance) | (variance == math.inf)
-    if _any(bad):
-        raise InvalidParameterError(
-            f"the variance is {_first(bad, variance)[0]!r}: tversky or tversky_sq is too "
-            "close to 0 for floating point"
-        )
-    return variance
+    return _finite_variance(_variance_kernel(r1, r2, tversky, tp_rate))
 
 
 def confidence_interval(
@@ -447,19 +437,18 @@ def confidence_interval(
     a warning since the normal approximation carries no information there.
     """
     level = _require_open_unit(level, "level")
-    stats = _as_summary(data, params)
-    variance = asymptotic_variance(stats, params)
-    se = math.sqrt(variance / stats.n)
+    estimate, variance = _index_and_variance(data, params)
+    se = math.sqrt(variance / data.n)
     half_width = normal_quantile(0.5 * (1.0 + level)) * se
     return EstimateReport(
-        estimate=stats.tversky,
+        estimate=estimate,
         variance=variance,
         se=se,
         half_width=half_width,
-        ci_lower=max(0.0, stats.tversky - half_width),
-        ci_upper=min(1.0, stats.tversky + half_width),
+        ci_lower=max(0.0, estimate - half_width),
+        ci_upper=min(1.0, estimate + half_width),
         level=level,
-        n=stats.n,
+        n=data.n,
         at_boundary=(variance == 0.0),
     )
 

@@ -35,9 +35,9 @@ from .estimation import (
     ConfusionCounts,
     TverskyParams,
     _error_ratio,
+    _finite_variance,
     _require_count,
     _require_open_unit,
-    _summary_variance,
     _variance_kernel,
     normal_cdf,
     normal_quantile,
@@ -111,8 +111,7 @@ def population_index(model: ScoreModel, params: TverskyParams) -> float:
     p_tp, p_fn, p_fp, _ = model.cell_probabilities
     if p_tp <= 0.0:
         raise DegenerateSampleError("model gives zero true-positive probability")
-    ratio = (params.fp_weight * p_fp + params.fn_weight * p_fn) / p_tp
-    return 1.0 / (1.0 + ratio)
+    return 1.0 / (1.0 + _error_ratio(p_tp, p_fn, p_fp, params))
 
 
 def population_variance(model: ScoreModel, params: TverskyParams) -> float:
@@ -120,11 +119,9 @@ def population_variance(model: ScoreModel, params: TverskyParams) -> float:
     p_tp, p_fn, p_fp, _ = model.cell_probabilities
     if p_tp <= 0.0:
         raise DegenerateSampleError("model gives zero true-positive probability")
-    squared = params.squared()
-    r1 = (params.fp_weight * p_fp + params.fn_weight * p_fn) / p_tp
-    r2 = (squared.fp_weight * p_fp + squared.fn_weight * p_fn) / p_tp
-    index = 1.0 / (1.0 + r1)
-    return float(_variance_kernel(r1, r2, index, p_tp))
+    r1 = _error_ratio(p_tp, p_fn, p_fp, params)
+    r2 = _error_ratio(p_tp, p_fn, p_fp, params.squared())
+    return _finite_variance(_variance_kernel(r1, r2, 1.0 / (1.0 + r1), p_tp))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +192,14 @@ def _intervals(
     # Python's int / int rounds once, as ConfusionCounts.tp_rate does; int64
     # division rounds both operands to float64 first, which differs past 2**53.
     tp_rate = (tp.astype(object) / totals.astype(object)).astype(float)
-    # Overflow to inf or nan is expected here: _summary_variance raises on it.
+    # Overflow to inf or nan is expected here; the largest variance is inf
+    # or nan exactly when some row's is, and _finite_variance raises on it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        estimate = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params))
-        estimate_sq = 1.0 / (1.0 + _error_ratio(tp, fn, fp, params.squared()))
-        variance = _summary_variance(estimate, estimate_sq, tp_rate, params)
+        r1 = _error_ratio(tp, fn, fp, params)
+        estimate = 1.0 / (1.0 + r1)
+        r2 = _error_ratio(tp, fn, fp, params.squared())
+        variance = _variance_kernel(r1, r2, estimate, tp_rate)
+        _finite_variance(float(variance.max(initial=0.0)))
     se = np.sqrt(variance / totals)
     half_width = normal_quantile(0.5 * (1.0 + level)) * se
     lower, upper = np.maximum(0.0, estimate - half_width), np.minimum(1.0, estimate + half_width)

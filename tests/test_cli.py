@@ -81,6 +81,16 @@ def test_ci_boundary_warning_on_stderr_keeps_stdout_parseable(capsys):
     assert "warning:" in err
 
 
+def test_ci_with_errors_is_not_at_the_boundary_when_the_index_rounds_to_1(capsys):
+    # tversky rounds to 1.0, but the exact variance is about 5.7e-63, not 0
+    payload, err = run_json(
+        capsys, "ci", "--counts", "47,0,607719886100,29",
+        "--ab", "5.13008324775293e-47,1.133866580166877e+53",
+    )
+    assert err == ""
+    assert payload["variance"] == pytest.approx(5.69e-63, rel=1e-2)
+
+
 def test_plan_json_golden(capsys):
     payload, _ = run_json(
         capsys, "plan", "--delta", "0.01", "--beta", "0.5", "--ez", "0.615"

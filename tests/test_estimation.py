@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -361,6 +362,33 @@ def test_exact_counts_pass_every_consistency_bound(tp, fn, fp, tn, a, b):
     assert asymptotic_variance(ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b)) >= 0.0
 
 
+def _exact_variance(tp, fn, fp, tn, a, b):
+    a, b = Fraction(a), Fraction(b)
+    r1 = (a * fp + b * fn) / tp
+    r2 = (a * a * fp + b * b * fn) / tp
+    return (r2 + r1 * r1) / (1 + r1) ** 4 / Fraction(tp, tp + fn + fp + tn)
+
+
+_errors = st.integers(0, 50) | st.integers(0, 10**12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 10**12),
+    _errors,
+    _errors,
+    st.integers(0, 10**12),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+# t rounds to 1.0: recovering 1/t - 1 from the index once gave variance 0
+@example(47, 0, 607719886100, 29, 5.13008324775293e-47, 1.133866580166877e53)
+def test_counts_variance_matches_exact_arithmetic(tp, fn, fp, tn, a, b):
+    variance = asymptotic_variance(ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b))
+    exact = _exact_variance(tp, fn, fp, tn, a, b)
+    assert abs(Fraction(variance) - exact) <= Fraction(4e-15) * exact
+
+
 # ---------------------------------------------------------------------------
 # tiny indices and numpy scalars
 # ---------------------------------------------------------------------------
@@ -378,8 +406,6 @@ def test_variance_of_an_index_whose_fourth_power_underflows():
 def test_tiny_index_variance_is_accurate(exponent):
     # tversky = 1/(1 + 10^k) and tversky_sq = 1/(1 + 10^2k); the exact
     # variance is (10^2k + 10^2k) * tversky^4 / tp_rate.
-    from fractions import Fraction
-
     counts = ConfusionCounts(1, 0, 1, 0)
     k = Fraction(10) ** exponent
     t, t2 = 1 / (1 + k), 1 / (1 + k * k)

@@ -251,6 +251,16 @@ def test_population_variance_squared_weight_overflow():
         population_variance(REFERENCE_MODEL, TverskyParams(1e200, 1.0))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [ScoreModel(0.5, -35.0, 2.0), ScoreModel(0.5, -37.0, 1.0), ScoreModel(1e-300, 2.0, 1.0)],
+)
+def test_population_variance_that_overflows_is_parameter_error(model):
+    # p_tp is near 1e-300, so (1/t - 1)^2 overflows and the kernel gives nan.
+    with pytest.raises(InvalidParameterError, match="the variance is"):
+        population_variance(model, TverskyParams(1.0, 1.0))
+
+
 def test_histogram_symmetric_two_point_sample():
     summary = histogram_summary([0.4] * 500 + [0.6] * 500, bins=4)
     assert summary.skewness == pytest.approx(0.0, abs=1e-12)

@@ -23,7 +23,7 @@ from tverskyci import (
     population_index,
     population_variance,
 )
-from tverskyci.estimation import _summary_variance, _variance_kernel
+from tverskyci.estimation import _variance_kernel
 from tverskyci.simulation import _draw, _intervals
 from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS
 
@@ -142,31 +142,6 @@ def test_scalar_variance_callers_get_python_floats():
     counts = ConfusionCounts(300, 60, 40, 600)
     assert type(asymptotic_variance(counts, F05)) is float
     assert type(population_variance(REFERENCE_MODEL, REFERENCE_PARAMS)) is float
-
-
-@pytest.mark.parametrize(
-    "stats,params",
-    [
-        # ratio below the smaller weight
-        (SummaryStats(100, 0.3, 0.5, 0.9090909), F05),
-        # 1/t - 1 above max_weight * (1/tp_rate - 1)
-        (SummaryStats(100, 0.99, 0.5, 0.6), TverskyParams(0.5, 1.0)),
-        # t = 1 with t2 < 1
-        (SummaryStats(100, 0.5, 1.0, 0.9), F05),
-    ],
-)
-def test_array_checks_report_the_first_inconsistent_element(stats, params):
-    with pytest.raises(InvalidParameterError) as scalar:
-        asymptotic_variance(stats, params)
-    good = SummaryStats(100, 0.3, 0.5, 0.6)
-    column = [good, stats, good, stats]
-
-    def arrays(name):
-        return np.array([getattr(s, name) for s in column])
-
-    with pytest.raises(InvalidParameterError) as vectorized:
-        _summary_variance(arrays("tversky"), arrays("tversky_sq"), arrays("tp_rate"), params)
-    assert str(vectorized.value) == str(scalar.value)
 
 
 def _bootstrap_oracle(counts, params, resamples, seed):
