@@ -1,6 +1,7 @@
-"""numpy is loaded only by simulate, bootstrap-check and the simulation API.
+"""numpy is loaded only by simulate, bootstrap-check and the simulation API,
+and statistics only by commands that need a normal quantile.
 
-Each case runs in a fresh interpreter, because numpy stays in sys.modules
+Each case runs in a fresh interpreter, because a module stays in sys.modules
 once any test in this process has imported it.
 """
 
@@ -52,6 +53,21 @@ def _python(code, *args, cwd=None):
 def test_short_commands_never_import_numpy(tmp_path, argv):
     (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n1,1\n", encoding="utf-8")
     assert _python(_RUN_MAIN, *argv, cwd=tmp_path) == ["0", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("estimate", "--counts", "30,20,10,40"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_a_quantile_never_import_statistics(argv):
+    # statistics pulls in fractions and decimal; only normal_quantile needs it.
+    assert _python(_RUN_MAIN.replace("numpy", "statistics"), *argv) == ["0", "False"]
 
 
 @pytest.mark.parametrize(
