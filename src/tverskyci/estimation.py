@@ -382,7 +382,7 @@ def _variance_kernel(r1, r2, t, tp_rate):
 
 
 def _finite_variance(variance: float) -> float:
-    # An index near 0 makes 1/t or (1/t - 1)^2 overflow, giving inf or nan.
+    # An index near 0 makes r2 or r1^2 overflow, giving inf or nan.
     if not variance < math.inf:
         raise InvalidParameterError(
             f"the variance is {variance!r}: tversky or tversky_sq is too "

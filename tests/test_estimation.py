@@ -432,6 +432,8 @@ def test_variance_of_an_index_whose_fourth_power_underflows():
 def test_tiny_index_variance_is_accurate(exponent):
     # tversky = 1/(1 + 10^k) and tversky_sq = 1/(1 + 10^2k); the exact
     # variance is (10^2k + 10^2k) * tversky^4 / tp_rate.
+    from fractions import Fraction
+
     counts = ConfusionCounts(1, 0, 1, 0)
     k = Fraction(10) ** exponent
     t, t2 = 1 / (1 + k), 1 / (1 + k * k)

@@ -15,7 +15,6 @@ from tverskyci import (
     InvalidParameterError,
     ScoreModel,
     SimulationConfig,
-    SummaryStats,
     TverskyParams,
     asymptotic_variance,
     bootstrap_se,
