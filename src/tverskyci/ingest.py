@@ -14,22 +14,29 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. Common delimited rows are counted by
-a few inline checks that keep no line count; any other row goes on the spot
-through the per-row parser, so errors are the same, and its line number is
-worked out then from the header's line number, the rows counted and the
-blank lines skipped. Input must be UTF-8 (a leading byte order mark is
-ignored); anything else is a DataError. Lines end at ``\n``, ``\r\n`` or
-``\r`` and are numbered from 1 as an editor numbers them; blank lines are
-skipped but still counted.
+does not grow with the number of rows. A regular file is cut just after
+newlines into one byte range per CPU this process may run on, at most
+``_MAX_WORKERS`` and each at least ``_MIN_RANGE`` bytes, unless other threads
+run; each range but the last is counted in a forked worker, the last in this
+process, and the counts are summed. If any range fails, the whole file is
+counted again in one process, which raises the error of the first bad line.
+Common delimited rows are counted by a few inline checks that keep no line
+count; any other row goes on the spot through the per-row parser, so errors
+are the same, and its line number is worked out then from the header's line
+number, the rows counted and the blank lines skipped. Input must be UTF-8
+(a leading byte order mark is ignored); anything else is a DataError. Lines
+end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1 as an editor
+numbers them; blank lines are skipped but still counted.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import DataError, InvalidParameterError
 from .estimation import ConfusionCounts
@@ -37,6 +44,10 @@ from .estimation import ConfusionCounts
 __all__ = ["ingest"]
 
 MODES = ("auto", "prediction", "score")
+
+_MIN_RANGE = 1 << 20  # bytes; a range is at least this long
+_MAX_WORKERS = 8
+_BLOCK = 1 << 15  # bytes a range reader holds at a time
 
 
 def _parse_binary(raw: object, column: str, where: str) -> int:
@@ -105,20 +116,10 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise InvalidParameterError(f"threshold must be finite, got {threshold!r}")
-    cells = [0, 0, 0, 0]  # tp, fn, fp, tn
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = enumerate(fh, 1)
-            rows = ((i, line.strip()) for i, line in lines)
-            rows = ((i, line) for i, line in rows if line)
-            first = next(rows, None)
-            if first is None:
-                raise DataError(f"{path}: file is empty")
-            if first[1].startswith("{"):
-                for z, a in _jsonl_pairs(itertools.chain((first,), rows), mode, threshold, path):
-                    cells[3 - 2 * z - a] += 1
-            else:  # rows has read through the header only
-                _count_delimited(first, fh, mode, threshold, path, cells)
+        cells = _count_file(path, mode, threshold, _MAX_WORKERS)
+        if cells is None:  # a range failed: one process finds its first bad line
+            cells = _count_file(path, mode, threshold, 1)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
     except OSError as exc:
@@ -129,6 +130,157 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
         # Only a header can come without records: every JSON line is one.
         raise DataError(f"{path}: no data rows after the header")
     return ConfusionCounts(*cells)
+
+
+def _count_file(path: str, mode: str, threshold: float, most: int) -> list | None:
+    """Count the records of path into (tp, fn, fp, tn) on up to most
+    processes; None if some range failed. With most = 1 this is the serial
+    count, which raises the error of the first bad line."""
+    cells = [0, 0, 0, 0]
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = ((i, line.strip()) for i, line in enumerate(fh, 1))
+        first = next(((i, line) for i, line in rows if line), None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        if first[1].startswith("{"):
+            count = _count_jsonl
+            z, a = next(_jsonl_pairs((first,), mode, threshold, path))
+            cells[3 - 2 * z - a] += 1
+        else:
+            count = _count_delimited
+        fd = fh.buffer.fileno()
+        ranges = _ranges(fd, first[1], most)
+        if not ranges:  # fh resumes just after the line first
+            count(first, fh, mode, threshold, path, cells)
+            return cells
+        parts = _count_ranges(
+            fd, ranges, lambda lines, part: count(first, lines, mode, threshold, path, part)
+        )
+    if parts is None:
+        return None
+    return [sum(column) for column in zip(cells, *parts)]
+
+
+def _ranges(fd: int, header: str, most: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, end) of the file open as fd that split the lines
+    after its header (or first JSON line) among workers, each cut just after
+    a newline, which ends a line under universal newlines and never falls
+    inside a UTF-8 character; [] to count in this process."""
+    import _thread
+    import stat  # both loaded with the interpreter
+
+    info = os.fstat(fd)
+    if most < 2 or not stat.S_ISREG(info.st_mode):
+        return []
+    # fork copies only the calling thread, so never fork beside another one.
+    if not hasattr(os, "fork") or _thread._count():
+        return []
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    size = info.st_size
+    k = min(most, cpus, size // _MIN_RANGE)
+    if k < 2:
+        return []
+    # Split only where the bytes before the first newline hold the header and
+    # nothing but blank lines (so no lone \r ended it before other text).
+    start = _line_end(fd, 0, min(size, _BLOCK))
+    head = os.pread(fd, start, 0).removeprefix(b"\xef\xbb\xbf")
+    try:
+        if not head.endswith(b"\n") or head.decode("utf-8").strip() != header:
+            return []
+    except UnicodeDecodeError:
+        return []
+    cuts = [start] + [_line_end(fd, start + (size - start) * i // k, size) for i in range(1, k)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:] + [size]) if a < b]
+
+
+def _line_end(fd: int, at: int, end: int) -> int:
+    """The offset just after the first newline at or after at, or end."""
+    while at < end:
+        block = os.pread(fd, min(_BLOCK, end - at), at)
+        if not block:
+            break
+        newline = block.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at += len(block)
+    return end
+
+
+def _range_lines(fd: int, start: int, end: int) -> Iterator[str]:
+    """The lines of bytes [start, end) of the file open as fd, read with
+    os.pread (which leaves the shared file offset alone) in blocks cut just
+    after a newline, so a reader holds about _BLOCK bytes at a time."""
+
+    def blocks() -> Iterator[io.StringIO]:
+        at, rest = start, b""
+        while at < end:
+            data = os.pread(fd, min(_BLOCK, end - at), at)
+            if not data:
+                break
+            at += len(data)
+            block = rest + data
+            cut = block.rfind(b"\n") + 1
+            rest = block[cut:]
+            if cut:
+                yield io.StringIO(block[:cut].decode("utf-8"), newline=None)
+        if rest:
+            yield io.StringIO(rest.decode("utf-8"), newline=None)
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def _count_ranges(
+    fd: int, ranges: list[tuple[int, int]], count: Callable[[Iterator[str], list], None]
+) -> list | None:
+    """Count each range but the last in a forked worker and the last here,
+    with count(lines, cells); each range's cells, or None if any failed."""
+    children = []  # (pid, read end of its pipe)
+    parts = [[0, 0, 0, 0]]
+    done = False
+    try:
+        for start, end in ranges[:-1]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(count, _range_lines(fd, start, end), write)
+            os.close(write)
+            children.append((pid, read))
+        count(_range_lines(fd, *ranges[-1]), parts[0])
+        done = True
+    except Exception:  # of any kind: the serial count raises it in file order
+        pass
+    finally:
+        for pid, read in children:  # each ends when its range is counted
+            with open(read, "rb") as pipe:
+                reply = pipe.read().split()
+            try:
+                _, status = os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                status = -1
+            parts.append([int(n) for n in reply] if status == 0 and len(reply) == 4 else None)
+    return parts if done and None not in parts else None
+
+
+def _work(count: Callable[[Iterator[str], list], None], lines: Iterator[str], write: int) -> None:
+    """In a forked worker: count lines, write the four counts to the pipe
+    end write, and exit without running exit handlers or flushing the
+    buffers copied from the parent; exit 1 if anything failed."""
+    code = 1
+    try:
+        cells = [0, 0, 0, 0]
+        count(lines, cells)
+        os.write(write, " ".join(map(str, cells)).encode())
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _count_row(
@@ -168,10 +320,11 @@ def _count_delimited(
     resolved = _resolve_mode(mode, columns[1 - z_at], path)
 
     # Inline, a label must be 0 or 1 with at most a space on either side (the
-    # last field keeps its newline) and the value is cut at the delimiter
-    # nearest it, so a row counted here has the two fields _count_row would
-    # count the same way (float strips no more than str.strip); it gets any
-    # other line.
+    # last field keeps its newline), or other padding that str.strip removes
+    # and that hides no second delimiter (a tab one can), and the value is cut
+    # at the delimiter nearest it, so a row counted here has the two fields
+    # _count_row would count the same way (float strips no more than
+    # str.strip); it gets any other line.
     ends = ("", " ", "\n", " \n")
     binary = {pad + label + end: int(label) for label in "01" for pad in ("", " ") for end in ends}
     negative = {label: 3 - 2 * z for label, z in binary.items()}  # z -> its cell with a = 0
@@ -190,14 +343,41 @@ def _count_delimited(
             else:
                 cells[negative[z] - binary[value]] += 1
                 continue
-        except (KeyError, ValueError):
+        except KeyError:  # a padded label, or a line _count_row must see
+            if delimiter not in (z.lstrip() if z_first else z.rstrip()):
+                try:
+                    a = score > threshold if scores else binary[value.strip()]
+                    cells[negative[z.strip()] - a] += 1
+                    continue
+                except KeyError:
+                    pass
+        except ValueError:
             pass
         where = f"{path}:{header_line_no + sum(cells) + blanks + 1}"
         blanks += not _count_row(line, where, delimiter, z_at, resolved, threshold, cells)
 
 
+def _count_jsonl(
+    first: tuple[int, str],
+    lines: Iterator[str],
+    mode: str,
+    threshold: float,
+    path: str,
+    cells: list,
+) -> None:
+    """Count the JSON lines of lines, which follow the record first, into
+    cells. first is not counted here; as the first record of the file it
+    fixes the mode the others must have."""
+    rows = ((i, line.strip()) for i, line in enumerate(lines, first[0] + 1))
+    rows = itertools.chain((first,), ((i, line) for i, line in rows if line))
+    pairs = _jsonl_pairs(rows, mode, threshold, path)
+    next(pairs)
+    for z, a in pairs:
+        cells[3 - 2 * z - a] += 1
+
+
 def _jsonl_pairs(
-    rows: Iterator[tuple[int, str]], mode: str, threshold: float, path: str
+    rows: Iterable[tuple[int, str]], mode: str, threshold: float, path: str
 ) -> Iterator[tuple[int, int]]:
     resolved: str | None = None
     for line_no, line in rows:

@@ -107,8 +107,11 @@ def variance_bound(params: TverskyParams) -> VarianceBound:
         )
     c = 1.0 / (1.0 - m)
     s = math.sqrt(4.0 * c * c - 4.0 * c + 9.0)
-    root_minus = (3.0 + 2.0 * c - s) / 8.0
-    root_plus = (3.0 + 2.0 * c + s) / 8.0
+    # The roots multiply to c/4. Add s to 3 + 2c with the sign of 3 + 2c and
+    # divide for the other root: subtracting the two loses every digit of
+    # that root when m is within about 1e-8 of 1.
+    far = (3.0 + 2.0 * c + math.copysign(s, 3.0 + 2.0 * c)) / 8.0
+    root_minus, root_plus = sorted((far, c / 4.0 / far))
     # Branch on m: below ~1e-16, 1 - m and so c round to exactly 1.
     maximizer = root_minus if m < 1.0 else root_plus
     try:

@@ -25,6 +25,7 @@ from tverskyci import (
     recall,
     summarize,
     tversky_index,
+    variance_bound,
     weighted_error_ratio,
 )
 
@@ -131,6 +132,20 @@ def test_fbeta_weights_sum_to_one():
         assert abs(params.fp_weight + params.fn_weight - 1.0) <= 2**-50
         assert 0.0 < params.fp_weight < 1.0
         assert 0.0 < params.fn_weight < 1.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 10**12),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+    st.floats(1e-2, 1e2),
+)
+def test_fbeta_weights_give_the_f_beta_score(tp, fn, fp, tn, beta):
+    counts = ConfusionCounts(tp, fn, fp, tn)
+    f_beta = (1 + beta**2) / (1 / precision(counts) + beta**2 / recall(counts))
+    assert tversky_index(counts, fbeta_to_tversky(beta)) == pytest.approx(f_beta, rel=1e-14)
 
 
 def test_fbeta_rejects_bad_beta():
@@ -413,6 +428,24 @@ def test_counts_variance_matches_exact_arithmetic(tp, fn, fp, tn, a, b):
     variance = asymptotic_variance(ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b))
     exact = _exact_variance(tp, fn, fp, tn, a, b)
     assert abs(Fraction(variance) - exact) <= Fraction(4e-15) * exact
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 10**12),
+    _errors,
+    _errors,
+    st.integers(0, 10**12),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+# max_weight one ulp below 1: V(m) once lost its maximizer to cancellation
+@example(1, 1, 0, 0, 1e-3, math.nextafter(1.0, 0.0))
+def test_counts_variance_lies_between_zero_and_the_planning_bound(tp, fn, fp, tn, a, b):
+    counts, params = ConfusionCounts(tp, fn, fp, tn), TverskyParams(a, b)
+    variance = asymptotic_variance(counts, params)
+    bound = variance_bound(params).value / (params.fn_weight * counts.label_rate)
+    assert 0.0 <= variance <= bound * (1 + 1e-14)
 
 
 # ---------------------------------------------------------------------------

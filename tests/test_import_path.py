@@ -1,5 +1,6 @@
 """numpy is loaded only by simulate, bootstrap-check and the simulation API,
-and statistics only by commands that need a normal quantile.
+statistics only by commands that need a normal quantile, and no module for
+running other processes by any short command.
 
 Each case runs in a fresh interpreter, because a module stays in sys.modules
 once any test in this process has imported it.
@@ -68,6 +69,26 @@ def test_short_commands_never_import_numpy(tmp_path, argv):
 def test_commands_without_a_quantile_never_import_statistics(argv):
     # statistics pulls in fractions and decimal; only normal_quantile needs it.
     assert _python(_RUN_MAIN.replace("numpy", "statistics"), *argv) == ["0", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("ci", "--counts", "300,60,40,600"),
+        ("ci", "--input", "records.csv"),
+        ("estimate", "--counts", "30,20,10,40"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_short_commands_never_import_process_modules(tmp_path, argv):
+    # ingest forks its workers with os alone; these would add to every start.
+    (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
+    modules = ("multiprocessing", "concurrent", "subprocess", "selectors")
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', f"set({modules!r}).isdisjoint(sys.modules)")
+    assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
 
 
 @pytest.mark.parametrize(

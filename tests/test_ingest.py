@@ -1,7 +1,13 @@
+import contextlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,27 @@ from tverskyci import (
 )
 
 from tests._reference import reference_ingest
+
+_ingest = importlib.import_module("tverskyci.ingest")  # the package exports the function
+
+
+@contextlib.contextmanager
+def _split(cpus=3, min_range=1):
+    """Split every file of at least min_range bytes per CPU over cpus CPUs;
+    yields the pids that os.fork returns to ingest."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ingest, "_MIN_RANGE", min_range)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "fork", counted_fork)
+        yield forks
 
 
 def _write(tmp_path, name, text):
@@ -261,6 +288,8 @@ def test_ingest_round_trip_property(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("records") / "records.txt"
     path.write_bytes(raw)
     assert ingest(str(path), threshold=_THRESHOLD) == expected
+    with _split():
+        assert ingest(str(path), threshold=_THRESHOLD) == expected
 
 
 def test_jsonl_score_beyond_the_float_range_rejected(tmp_path):
@@ -363,12 +392,28 @@ def _outcome(parse, path, mode):
 @example((b"z\tscore\n1\t\t0.5\n", "auto"))
 @example((b"score\tz\n0.5\t\t1\n", "auto"))
 @example((b"a\tz\n1\t\t1\n", "auto"))
+# Padding beside a tab delimiter can hide a second one.
+@example((b"z\ta\n1 \t\t0\n", "auto"))
+@example((b"a\tz\n0\t\t 1\n", "auto"))
+# Split over three CPUs, these cut just after the \n of a \r\n; before blank
+# lines; before a row that starts with a byte order mark; put a bad row, or
+# a non-UTF-8 byte past the first 8 KiB, in the last range; and put a bad
+# row in the first range and a non-UTF-8 byte in the last.
+@example((b"z,score\r\n1,0.5\r\n0,0.25\r\n1,0.75\r\n0,0.1\r\n1,0.9\r\n0,0.3\r\n", "auto"))
+@example((b"z,a\n1,1\n\n\n0,0\n\n\n1,0\n\r\n\n0,1\n", "auto"))
+@example((b"\xef\xbb\xbfz,a\n1,1\n0,0\n\xef\xbb\xbf1,0\n0,1\n1,1\n", "auto"))
+@example((b"z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n1,7\n", "auto"))
+@example((b"z,a\n" + b"1,1\n" * 3000 + b"\xff,1\n", "auto"))
+@example((b"z,a\n1,7\n" + b"1,1\n" * 3000 + b"\xff,1\n", "auto"))
 def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
     raw, mode = case
     path = str(tmp_path_factory.mktemp("records") / "records.csv")
     with open(path, "wb") as fh:
         fh.write(raw)
-    assert _outcome(ingest, path, mode) == _outcome(reference_ingest, path, mode)
+    expected = _outcome(reference_ingest, path, mode)
+    assert _outcome(ingest, path, mode) == expected
+    with _split():
+        assert _outcome(ingest, path, mode) == expected
 
 
 @pytest.mark.parametrize(
@@ -379,15 +424,17 @@ def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
         "z,a\n1,1\n1,0\n0,1\n0,0",
         "a\tz\n1\t1\n0\t1\n1\t0\n0\t0\n",
         "z, a\n1, 1\n 1 , 0\n0 ,1\n0, 0 \n",  # a space beside a label stays inline
+        "z,a\n1,  0\n0,\t1\n  1,1\n0 \t,0\n",  # and so does other padding
+        "score\tz\n0.5\t1\v\n0.125\t \f0\n-3e-2\t1 \t\n1\t\x1c0\n",
+        "z\tscore\n\t1\t0.5\n0\x85 \t0.125\n\u20281\t-3e-2\n \v0\t1\n",
     ],
 )
 def test_canonical_rows_never_reach_the_per_row_parser(tmp_path, monkeypatch, text):
-    ingest_module = importlib.import_module("tverskyci.ingest")  # the package exports the function
     calls = []
     for name in ("_parse_score", "_parse_binary"):
-        helper = getattr(ingest_module, name)
+        helper = getattr(_ingest, name)
         monkeypatch.setattr(
-            ingest_module, name, lambda *args, _helper=helper: calls.append(args) or _helper(*args)
+            _ingest, name, lambda *args, _helper=helper: calls.append(args) or _helper(*args)
         )
     counts = ingest(_write(tmp_path, "canonical.csv", text), threshold=0.25)
     assert counts.n == 4
@@ -396,18 +443,138 @@ def test_canonical_rows_never_reach_the_per_row_parser(tmp_path, monkeypatch, te
 
 def test_ingest_memory_does_not_grow_with_rows(tmp_path):
     # 200k rows with six-decimal scores are almost all distinct lines, so
-    # neither per-row nor per-distinct-line storage fits under 1 MiB.
+    # neither per-row nor per-distinct-line storage fits under 1 MiB. On two
+    # CPUs the file (2.2 MB) is split in two, and this process reads one half,
+    # which would not fit either.
     rng = random.Random(3)
     path = tmp_path / "scores.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("z,score\n")
         for _ in range(200):
             fh.writelines(f"{rng.randint(0, 1)},{rng.random():.6f}\n" for _ in range(1000))
-    tracemalloc.start()
+    for cpus in (1, 2):
+        with _split(cpus, min_range=_ingest._MIN_RANGE) as forks:
+            tracemalloc.start()
+            try:
+                counts = ingest(str(path))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert counts.n == 200_000
+        assert peak < 2**20
+        assert len(forks) == cpus - 1
+
+
+_SWITCH = '{"z": 1, "a": 1}\n' * 6 + '{"z": 0, "score": 0.4}\n'
+
+
+@pytest.mark.parametrize(
+    "raw, outcome",
+    [
+        (b"z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n1,1\n", "ConfusionCounts(tp=3, fn=1, fp=1, tn=1)"),
+        (
+            b"z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n1,7\n",
+            "DataError: {}:7: column 'a' must be exactly 0 or 1, got '7'",
+        ),
+        # The text read of the header decodes the first 8 KiB.
+        (
+            b"z,a\n" + b"1,1\n" * 3000 + b"\xff,1\n",
+            "DataError: {}: file is not UTF-8 text (invalid start byte)",
+        ),
+        (
+            b"z,a\n1,7\n" + b"1,1\n" * 3000 + b"\xff,1\n",
+            "DataError: {}:2: column 'a' must be exactly 0 or 1, got '7'",
+        ),
+        (_SWITCH.encode(), "DataError: {}:7: record switches to 'score' mode mid-file"),
+    ],
+    ids=["counts", "bad row", "non-UTF-8", "bad row then non-UTF-8", "JSON lines mode switch"],
+)
+def test_split_gives_the_serial_outcome_and_reaps_every_worker(tmp_path, raw, outcome):
+    path = tmp_path / "records.txt"
+    path.write_bytes(raw)
+    with _split() as forks:
+        result = _outcome(ingest, str(path), "auto")
+    assert str(result) == outcome.format(path)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n", "ConfusionCounts(tp=2, fn=1, fp=1, tn=1)"),
+        (
+            "z,a\n1,1\n0,0\n1,0\n0,1\n1,7\n",
+            "DataError: {}:6: column 'a' must be exactly 0 or 1, got '7'",
+        ),
+    ],
+)
+def test_split_with_sigchld_ignored_counts_in_one_process(tmp_path, text, outcome):
+    # The kernel reaps the workers itself, so ingest cannot see how they
+    # exited; it counts again in one process.
+    import signal
+
+    path = _write(tmp_path, "records.csv", text)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        counts = ingest(str(path))
-        _, peak = tracemalloc.get_traced_memory()
+        with _split() as forks:
+            assert str(_outcome(ingest, path, "auto")) == outcome.format(path)
     finally:
-        tracemalloc.stop()
-    assert counts.n == 200_000
-    assert peak < 2**20
+        signal.signal(signal.SIGCHLD, handler)
+    assert len(forks) == 2
+
+
+def test_no_split_while_another_thread_runs(tmp_path):
+    # fork would copy only the calling thread into the worker.
+    path = _write(tmp_path, "records.csv", "z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        with _split() as forks:
+            assert ingest(path) == ConfusionCounts(2, 1, 1, 1)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert forks == []
+
+
+_COUNT_WITHOUT_FORK = """
+import importlib, os, sys
+ingest = importlib.import_module("tverskyci.ingest")
+ingest._MIN_RANGE = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+def fork():
+    raise SystemExit("forked")
+os.fork = fork
+print(ingest.ingest(sys.argv[1]))
+"""
+
+
+def test_stdin_and_named_pipes_are_counted_in_one_process(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-c", _COUNT_WITHOUT_FORK]
+    records = tmp_path / "records.csv"
+    records.write_bytes(b"z,a\n" + b"1,1\n0,0\n1,0\n" * 100)
+    expected = "ConfusionCounts(tp=100, fn=100, fp=0, tn=100)\n"
+    piped = subprocess.run(
+        [*command, "/dev/stdin"],
+        input=records.read_bytes(),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", expected.encode())
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(records), str(fifo)])
+    try:
+        named = subprocess.run([*command, str(fifo)], capture_output=True, env=env, timeout=60)
+    finally:
+        writer.kill()
+        writer.wait(timeout=60)
+    assert (named.returncode, named.stderr, named.stdout) == (0, b"", expected.encode())

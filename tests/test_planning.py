@@ -60,6 +60,16 @@ def test_bound_at_weight_one_is_quarter():
     assert abs(np.max(grid * (1 - grid)) - 0.25) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "m", [math.nextafter(1.0, 0.0), 1 - 1e-9, 1 + 1e-9, math.nextafter(1.0, 2.0)]
+)
+def test_bound_next_to_weight_one_is_quarter(m):
+    # The profile tends to tau*(1-tau) as m -> 1, maximized at 1/2.
+    bound = variance_bound(TverskyParams(m, m))
+    assert bound.maximizer == pytest.approx(0.5, rel=1e-8)
+    assert bound.value == pytest.approx(0.25, rel=1e-8)
+
+
 def test_bound_above_weight_one_uses_plus_root():
     bound = variance_bound(TverskyParams(2.0, 0.3))
     assert bound.maximizer == bound.root_plus
