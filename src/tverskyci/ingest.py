@@ -14,13 +14,10 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. A regular file is cut just after
-newlines into one byte range per CPU this process may run on, at most
-``_MAX_WORKERS`` and each at least ``_MIN_RANGE`` bytes, unless other threads
-run; each range but the last is counted in a forked worker, the last in this
-process, and the counts are summed. If any range fails, the whole file is
-counted again in one process, which raises the error of the first bad line.
-Common delimited rows are counted by a few inline checks that keep no line
+does not grow with the number of rows. A large regular file is counted in
+byte ranges on every CPU (see ``_split``); if any range fails, the whole
+file is counted again in one process, which raises the error of the first
+bad line. Common delimited rows are counted by a few inline checks that keep no line
 count; any other row goes on the spot through the per-row parser, so errors
 are the same, and its line number is worked out then from the header's line
 number, the rows counted and the blank lines skipped. Input must be UTF-8
@@ -31,12 +28,10 @@ numbers them; blank lines are skipped but still counted.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
-import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import DataError, InvalidParameterError
 from .estimation import ConfusionCounts
@@ -44,10 +39,6 @@ from .estimation import ConfusionCounts
 __all__ = ["ingest"]
 
 MODES = ("auto", "prediction", "score")
-
-_MIN_RANGE = 1 << 20  # bytes; a range is at least this long
-_MAX_WORKERS = 8
-_BLOCK = 1 << 15  # bytes a range reader holds at a time
 
 
 def _parse_binary(raw: object, column: str, where: str) -> int:
@@ -117,9 +108,9 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     if not math.isfinite(threshold):
         raise InvalidParameterError(f"threshold must be finite, got {threshold!r}")
     try:
-        cells = _count_file(path, mode, threshold, _MAX_WORKERS)
+        cells = _count_file(path, mode, threshold, split=True)
         if cells is None:  # a range failed: one process finds its first bad line
-            cells = _count_file(path, mode, threshold, 1)
+            cells = _count_file(path, mode, threshold, split=False)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
     except OSError as exc:
@@ -132,10 +123,11 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     return ConfusionCounts(*cells)
 
 
-def _count_file(path: str, mode: str, threshold: float, most: int) -> list | None:
-    """Count the records of path into (tp, fn, fp, tn) on up to most
-    processes; None if some range failed. With most = 1 this is the serial
-    count, which raises the error of the first bad line."""
+def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | None:
+    """Count the records of path into (tp, fn, fp, tn), in byte ranges on
+    every CPU if split and the file allows it; None if some range failed.
+    Without split this is the serial count, which raises the error of the
+    first bad line."""
     cells = [0, 0, 0, 0]
     with open(path, encoding="utf-8-sig") as fh:
         rows = ((i, line.strip()) for i, line in enumerate(fh, 1))
@@ -148,139 +140,22 @@ def _count_file(path: str, mode: str, threshold: float, most: int) -> list | Non
             cells[3 - 2 * z - a] += 1
         else:
             count = _count_delimited
-        fd = fh.buffer.fileno()
-        ranges = _ranges(fd, first[1], most)
+        ranges = []
+        if split:
+            from . import _split  # not compiled by commands that read no file
+
+            ranges = _split.cut(fh.buffer.fileno(), first[1])
         if not ranges:  # fh resumes just after the line first
             count(first, fh, mode, threshold, path, cells)
             return cells
-        parts = _count_ranges(
-            fd, ranges, lambda lines, part: count(first, lines, mode, threshold, path, part)
+        parts = _split.count_ranges(
+            fh.buffer.fileno(),
+            ranges,
+            lambda lines, part: count(first, lines, mode, threshold, path, part),
         )
     if parts is None:
         return None
     return [sum(column) for column in zip(cells, *parts)]
-
-
-def _ranges(fd: int, header: str, most: int) -> list[tuple[int, int]]:
-    """Byte ranges [start, end) of the file open as fd that split the lines
-    after its header (or first JSON line) among workers, each cut just after
-    a newline, which ends a line under universal newlines and never falls
-    inside a UTF-8 character; [] to count in this process."""
-    import _thread
-    import stat  # both loaded with the interpreter
-
-    info = os.fstat(fd)
-    if most < 2 or not stat.S_ISREG(info.st_mode):
-        return []
-    # fork copies only the calling thread, so never fork beside another one.
-    if not hasattr(os, "fork") or _thread._count():
-        return []
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    size = info.st_size
-    k = min(most, cpus, size // _MIN_RANGE)
-    if k < 2:
-        return []
-    # Split only where the bytes before the first newline hold the header and
-    # nothing but blank lines (so no lone \r ended it before other text).
-    start = _line_end(fd, 0, min(size, _BLOCK))
-    head = os.pread(fd, start, 0).removeprefix(b"\xef\xbb\xbf")
-    try:
-        if not head.endswith(b"\n") or head.decode("utf-8").strip() != header:
-            return []
-    except UnicodeDecodeError:
-        return []
-    cuts = [start] + [_line_end(fd, start + (size - start) * i // k, size) for i in range(1, k)]
-    return [(a, b) for a, b in zip(cuts, cuts[1:] + [size]) if a < b]
-
-
-def _line_end(fd: int, at: int, end: int) -> int:
-    """The offset just after the first newline at or after at, or end."""
-    while at < end:
-        block = os.pread(fd, min(_BLOCK, end - at), at)
-        if not block:
-            break
-        newline = block.find(b"\n")
-        if newline >= 0:
-            return at + newline + 1
-        at += len(block)
-    return end
-
-
-def _range_lines(fd: int, start: int, end: int) -> Iterator[str]:
-    """The lines of bytes [start, end) of the file open as fd, read with
-    os.pread (which leaves the shared file offset alone) in blocks cut just
-    after a newline, so a reader holds about _BLOCK bytes at a time."""
-
-    def blocks() -> Iterator[io.StringIO]:
-        at, rest = start, b""
-        while at < end:
-            data = os.pread(fd, min(_BLOCK, end - at), at)
-            if not data:
-                break
-            at += len(data)
-            block = rest + data
-            cut = block.rfind(b"\n") + 1
-            rest = block[cut:]
-            if cut:
-                yield io.StringIO(block[:cut].decode("utf-8"), newline=None)
-        if rest:
-            yield io.StringIO(rest.decode("utf-8"), newline=None)
-
-    return itertools.chain.from_iterable(blocks())
-
-
-def _count_ranges(
-    fd: int, ranges: list[tuple[int, int]], count: Callable[[Iterator[str], list], None]
-) -> list | None:
-    """Count each range but the last in a forked worker and the last here,
-    with count(lines, cells); each range's cells, or None if any failed."""
-    children = []  # (pid, read end of its pipe)
-    parts = [[0, 0, 0, 0]]
-    done = False
-    try:
-        for start, end in ranges[:-1]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _work(count, _range_lines(fd, start, end), write)
-            os.close(write)
-            children.append((pid, read))
-        count(_range_lines(fd, *ranges[-1]), parts[0])
-        done = True
-    except Exception:  # of any kind: the serial count raises it in file order
-        pass
-    finally:
-        for pid, read in children:  # each ends when its range is counted
-            with open(read, "rb") as pipe:
-                reply = pipe.read().split()
-            try:
-                _, status = os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already: SIGCHLD is ignored
-                status = -1
-            parts.append([int(n) for n in reply] if status == 0 and len(reply) == 4 else None)
-    return parts if done and None not in parts else None
-
-
-def _work(count: Callable[[Iterator[str], list], None], lines: Iterator[str], write: int) -> None:
-    """In a forked worker: count lines, write the four counts to the pipe
-    end write, and exit without running exit handlers or flushing the
-    buffers copied from the parent; exit 1 if anything failed."""
-    code = 1
-    try:
-        cells = [0, 0, 0, 0]
-        count(lines, cells)
-        os.write(write, " ".join(map(str, cells)).encode())
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _count_row(

@@ -26,6 +26,7 @@ from tverskyci import (
 from tests._reference import reference_ingest
 
 _ingest = importlib.import_module("tverskyci.ingest")  # the package exports the function
+_split_module = importlib.import_module("tverskyci._split")
 
 
 @contextlib.contextmanager
@@ -41,7 +42,7 @@ def _split(cpus=3, min_range=1):
         return pid
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_ingest, "_MIN_RANGE", min_range)
+        patch.setattr(_split_module, "MIN_RANGE", min_range)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         patch.setattr(os, "fork", counted_fork)
         yield forks
@@ -453,7 +454,7 @@ def test_ingest_memory_does_not_grow_with_rows(tmp_path):
         for _ in range(200):
             fh.writelines(f"{rng.randint(0, 1)},{rng.random():.6f}\n" for _ in range(1000))
     for cpus in (1, 2):
-        with _split(cpus, min_range=_ingest._MIN_RANGE) as forks:
+        with _split(cpus, min_range=_split_module.MIN_RANGE) as forks:
             tracemalloc.start()
             try:
                 counts = ingest(str(path))
@@ -542,14 +543,15 @@ def test_no_split_while_another_thread_runs(tmp_path):
 
 
 _COUNT_WITHOUT_FORK = """
-import importlib, os, sys
-ingest = importlib.import_module("tverskyci.ingest")
-ingest._MIN_RANGE = 1
+import os, sys
+import tverskyci._split
+from tverskyci import ingest
+tverskyci._split.MIN_RANGE = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 def fork():
     raise SystemExit("forked")
 os.fork = fork
-print(ingest.ingest(sys.argv[1]))
+print(ingest(sys.argv[1]))
 """
 
 
