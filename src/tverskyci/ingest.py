@@ -17,13 +17,14 @@ Files are streamed line by line and counted as they are parsed, so memory
 does not grow with the number of rows. A large regular file is counted in
 byte ranges on every CPU (see ``_split``); if any range fails, the whole
 file is counted again in one process, which raises the error of the first
-bad line. Common delimited rows are counted by a few inline checks that keep no line
-count; any other row goes on the spot through the per-row parser, so errors
-are the same, and its line number is worked out then from the header's line
-number, the rows counted and the blank lines skipped. Input must be UTF-8
-(a leading byte order mark is ignored); anything else is a DataError. Lines
-end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1 as an editor
-numbers them; blank lines are skipped but still counted.
+bad line. Common delimited rows are counted by a few inline checks that
+keep no line count; any other row goes on the spot through the per-row
+parser, so errors are the same, and its line number is worked out then
+from the header's line number, the rows counted and the blank lines
+skipped. Input must be UTF-8 (a leading byte order mark is ignored);
+anything else is a DataError. Lines end at ``\n``, ``\r\n`` or ``\r``
+and are numbered from 1 as an editor numbers them; blank lines are skipped
+but still counted.
 """
 
 from __future__ import annotations
