@@ -1,12 +1,12 @@
 """Count a record file in byte ranges on every CPU, for ``ingest``.
 
 A regular file is cut just after newlines into one byte range per CPU this
-process may run on, at most ``MAX_WORKERS`` and each at least ``MIN_RANGE``
-bytes, unless other threads run. Each range but the last is counted in a
-forked worker that sends its four counts back over a pipe; the last is
-counted in this process. Nothing here reports a parse error: if any range
-fails, ``count_ranges`` returns None and ``ingest`` counts the whole file again in
-one process.
+process may run on, at most ``MAX_WORKERS`` and each at least the length
+``ingest`` gives, unless other threads run. Each range but the last is
+counted in a forked worker that sends its four counts back over a pipe;
+the last is counted in this process. Nothing here reports a parse error:
+if any range fails, ``count_ranges`` returns None and ``ingest`` counts the
+whole file again in one process.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ import os
 import stat
 from collections.abc import Callable, Iterator
 
-MIN_RANGE = 1 << 20  # bytes; a range is at least this long
 MAX_WORKERS = 8
 _BLOCK = 1 << 15  # bytes a range reader holds at a time
 
 
-def cut(fd: int, header: str) -> list[tuple[int, int]]:
-    """Byte ranges [start, end) of the file open as fd that split the lines
-    after its header (or first JSON line) among workers, each cut just after
-    a newline, which ends a line under universal newlines and never falls
-    inside a UTF-8 character; [] to count in this process."""
+def cut(fd: int, header: str, min_range: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, end) of the file open as fd, about min_range
+    bytes or more each, that split the lines after its header (or first
+    JSON line) among workers, each cut just after a newline, which ends a
+    line under universal newlines and never falls inside a UTF-8
+    character; [] to count in this process."""
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         return []
@@ -39,7 +39,7 @@ def cut(fd: int, header: str) -> list[tuple[int, int]]:
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
     size = info.st_size
-    k = min(MAX_WORKERS, cpus, size // MIN_RANGE)
+    k = min(MAX_WORKERS, cpus, size // min_range)
     if k < 2:
         return []
     # Split only where the bytes before the first newline hold the header and
@@ -52,7 +52,8 @@ def cut(fd: int, header: str) -> list[tuple[int, int]]:
     except UnicodeDecodeError:
         return []
     cuts = [start] + [_line_end(fd, start + (size - start) * i // k, size) for i in range(1, k)]
-    return [(a, b) for a, b in zip(cuts, cuts[1:] + [size]) if a < b]
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:] + [size]) if a < b]
+    return ranges if len(ranges) > 1 else []
 
 
 def _line_end(fd: int, at: int, end: int) -> int:
@@ -71,22 +72,29 @@ def _line_end(fd: int, at: int, end: int) -> int:
 def _range_lines(fd: int, start: int, end: int) -> Iterator[str]:
     """The lines of bytes [start, end) of the file open as fd, read with
     os.pread (which leaves the shared file offset alone) in blocks cut just
-    after a newline, so a reader holds about _BLOCK bytes at a time."""
+    after a line end, so a reader holds about _BLOCK bytes at a time unless
+    a line is longer."""
 
     def blocks() -> Iterator[io.StringIO]:
-        at, rest = start, b""
+        at, rest = start, []  # rest: the pieces of a line not yet ended
         while at < end:
             data = os.pread(fd, min(_BLOCK, end - at), at)
             if not data:
                 break
             at += len(data)
-            block = rest + data
-            cut = block.rfind(b"\n") + 1
-            rest = block[cut:]
+            # A \n ends a line, and so does a \r with a byte after it in
+            # this block (that of a \r\n is the later \n); both are ASCII,
+            # so never inside a UTF-8 character.
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
             if cut:
-                yield io.StringIO(block[:cut].decode("utf-8"), newline=None)
-        if rest:
-            yield io.StringIO(rest.decode("utf-8"), newline=None)
+                rest.append(data[:cut])
+                yield io.StringIO(b"".join(rest).decode("utf-8"), newline=None)
+                rest = [data[cut:]]
+            else:
+                rest.append(data)
+        tail = b"".join(rest)
+        if tail:
+            yield io.StringIO(tail.decode("utf-8"), newline=None)
 
     return itertools.chain.from_iterable(blocks())
 

@@ -29,10 +29,10 @@ but still counted.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from collections.abc import Iterable, Iterator
+import os
+from collections.abc import Iterator
 
 from .errors import DataError, InvalidParameterError
 from .estimation import ConfusionCounts
@@ -40,6 +40,7 @@ from .estimation import ConfusionCounts
 __all__ = ["ingest"]
 
 MODES = ("auto", "prediction", "score")
+_MIN_RANGE = 1 << 20  # bytes; a file is split only into ranges at least this long
 
 
 def _parse_binary(raw: object, column: str, where: str) -> int:
@@ -83,19 +84,6 @@ def _resolve_mode(requested: str, value_column: str, path: str) -> str:
     return found
 
 
-def _json_record(line: str, where: str) -> dict:
-    try:
-        record = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        reason = getattr(exc, "msg", str(exc).partition(";")[0])
-        raise DataError(f"{where}: invalid JSON: {reason}") from None
-    except RecursionError:
-        raise DataError(f"{where}: invalid JSON: nested too deeply") from None
-    if not isinstance(record, dict):
-        raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    return record
-
-
 def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCounts:
     """Parse a record file into exact confusion counts.
 
@@ -136,16 +124,19 @@ def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | N
         if first is None:
             raise DataError(f"{path}: file is empty")
         if first[1].startswith("{"):
+            # The first record fixes the mode every other record must have.
             count = _count_jsonl
-            z, a = next(_jsonl_pairs((first,), mode, threshold, path))
-            cells[3 - 2 * z - a] += 1
+            where, record, value_key = _json_record(*first, path)
+            mode = _resolve_mode(mode, value_key, path)
+            _count_record(record, value_key, mode, threshold, where, cells)
         else:
             count = _count_delimited
         ranges = []
-        if split:
-            from . import _split  # not compiled by commands that read no file
+        # The split code is compiled only for a file large enough to split.
+        if split and os.fstat(fh.fileno()).st_size >= 2 * _MIN_RANGE:
+            from . import _split
 
-            ranges = _split.cut(fh.buffer.fileno(), first[1])
+            ranges = _split.cut(fh.buffer.fileno(), first[1], _MIN_RANGE)
         if not ranges:  # fh resumes just after the line first
             count(first, fh, mode, threshold, path, cells)
             return cells
@@ -236,41 +227,47 @@ def _count_delimited(
 def _count_jsonl(
     first: tuple[int, str],
     lines: Iterator[str],
-    mode: str,
+    resolved: str,
     threshold: float,
     path: str,
     cells: list,
 ) -> None:
     """Count the JSON lines of lines, which follow the record first, into
-    cells. first is not counted here; as the first record of the file it
-    fixes the mode the others must have."""
-    rows = ((i, line.strip()) for i, line in enumerate(lines, first[0] + 1))
-    rows = itertools.chain((first,), ((i, line) for i, line in rows if line))
-    pairs = _jsonl_pairs(rows, mode, threshold, path)
-    next(pairs)
-    for z, a in pairs:
-        cells[3 - 2 * z - a] += 1
+    cells; each must be in the mode resolved from first."""
+    for line_no, line in enumerate(lines, first[0] + 1):
+        line = line.strip()
+        if line:
+            where, record, value_key = _json_record(line_no, line, path)
+            if ("prediction" if value_key == "a" else "score") != resolved:
+                raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
+            _count_record(record, value_key, resolved, threshold, where, cells)
 
 
-def _jsonl_pairs(
-    rows: Iterable[tuple[int, str]], mode: str, threshold: float, path: str
-) -> Iterator[tuple[int, int]]:
-    resolved: str | None = None
-    for line_no, line in rows:
-        where = f"{path}:{line_no}"
-        record = _json_record(line, where)
-        keys = set(record)
-        if "a" in keys and "score" in keys:
-            raise DataError(f"{where}: record has both 'a' and 'score'; datasets must use one mode")
-        if "z" not in keys or not keys <= {"z", "a", "score"} or len(keys) != 2:
-            raise DataError(
-                f"{where}: record must have key 'z' plus exactly one of 'a' or 'score', "
-                f"got keys {sorted(keys)!r}"
-            )
-        value_key = "a" if "a" in keys else "score"
-        if resolved is None:
-            resolved = _resolve_mode(mode, value_key, path)
-        elif ("prediction" if value_key == "a" else "score") != resolved:
-            raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
-        z = _parse_binary(record["z"], "z", where)
-        yield z, _prediction(record[value_key], resolved, threshold, where)
+def _json_record(line_no: int, line: str, path: str) -> tuple[str, dict, str]:
+    """Where line is, its JSON record and the record's value key."""
+    where = f"{path}:{line_no}"
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        reason = getattr(exc, "msg", str(exc).partition(";")[0])
+        raise DataError(f"{where}: invalid JSON: {reason}") from None
+    except RecursionError:
+        raise DataError(f"{where}: invalid JSON: nested too deeply") from None
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    keys = set(record)
+    if "a" in keys and "score" in keys:
+        raise DataError(f"{where}: record has both 'a' and 'score'; datasets must use one mode")
+    if "z" not in keys or not keys <= {"z", "a", "score"} or len(keys) != 2:
+        raise DataError(
+            f"{where}: record must have key 'z' plus exactly one of 'a' or 'score', "
+            f"got keys {sorted(keys)!r}"
+        )
+    return where, record, "a" if "a" in keys else "score"
+
+
+def _count_record(
+    record: dict, value_key: str, resolved: str, threshold: float, where: str, cells: list
+) -> None:
+    z = _parse_binary(record["z"], "z", where)
+    cells[3 - 2 * z - _prediction(record[value_key], resolved, threshold, where)] += 1

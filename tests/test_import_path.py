@@ -84,12 +84,10 @@ def test_commands_without_a_quantile_never_import_statistics(argv):
     ids=lambda argv: " ".join(argv[:2]),
 )
 def test_short_commands_never_import_process_modules(tmp_path, argv):
-    # ingest forks its workers with os alone, from a module only it imports;
-    # these would add to every start.
+    # ingest forks its workers with os alone, from a module it imports only
+    # for a file large enough to split; these would add to every start.
     (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
-    modules = ("multiprocessing", "concurrent", "subprocess", "selectors")
-    if argv[:2] != ("ci", "--input"):
-        modules += ("tverskyci._split",)
+    modules = ("multiprocessing", "concurrent", "subprocess", "selectors", "tverskyci._split")
     code = _RUN_MAIN.replace('"numpy" in sys.modules', f"set({modules!r}).isdisjoint(sys.modules)")
     assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
 

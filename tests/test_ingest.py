@@ -26,14 +26,15 @@ from tverskyci import (
 from tests._reference import reference_ingest
 
 _ingest = importlib.import_module("tverskyci.ingest")  # the package exports the function
-_split_module = importlib.import_module("tverskyci._split")
 
 
 @contextlib.contextmanager
 def _split(cpus=3, min_range=1):
     """Split every file of at least min_range bytes per CPU over cpus CPUs;
-    yields the pids that os.fork returns to ingest."""
+    yields the pids that os.fork returns to ingest and the split argument
+    of each count of the whole file (a second one is the serial rerun)."""
     forks, fork = [], os.fork
+    counts, count_file = [], _ingest._count_file
 
     def counted_fork():
         pid = fork()
@@ -41,11 +42,16 @@ def _split(cpus=3, min_range=1):
             forks.append(pid)
         return pid
 
+    def counted_count_file(*args, split):
+        counts.append(split)
+        return count_file(*args, split=split)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_split_module, "MIN_RANGE", min_range)
+        patch.setattr(_ingest, "_MIN_RANGE", min_range)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         patch.setattr(os, "fork", counted_fork)
-        yield forks
+        patch.setattr(_ingest, "_count_file", counted_count_file)
+        yield forks, counts
 
 
 def _write(tmp_path, name, text):
@@ -289,8 +295,9 @@ def test_ingest_round_trip_property(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("records") / "records.txt"
     path.write_bytes(raw)
     assert ingest(str(path), threshold=_THRESHOLD) == expected
-    with _split():
+    with _split() as (_, counts):
         assert ingest(str(path), threshold=_THRESHOLD) == expected
+    assert counts == [True]  # the ranges counted it: no serial rerun
 
 
 def test_jsonl_score_beyond_the_float_range_rejected(tmp_path):
@@ -413,8 +420,10 @@ def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
         fh.write(raw)
     expected = _outcome(reference_ingest, path, mode)
     assert _outcome(ingest, path, mode) == expected
-    with _split():
+    with _split() as (_, counts):
         assert _outcome(ingest, path, mode) == expected
+    if isinstance(expected, ConfusionCounts):
+        assert counts == [True]  # the ranges counted it: no serial rerun
 
 
 @pytest.mark.parametrize(
@@ -454,16 +463,39 @@ def test_ingest_memory_does_not_grow_with_rows(tmp_path):
         for _ in range(200):
             fh.writelines(f"{rng.randint(0, 1)},{rng.random():.6f}\n" for _ in range(1000))
     for cpus in (1, 2):
-        with _split(cpus, min_range=_split_module.MIN_RANGE) as forks:
+        with _split(cpus, min_range=_ingest._MIN_RANGE) as (forks, counts):
             tracemalloc.start()
             try:
-                counts = ingest(str(path))
+                result = ingest(str(path))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert counts.n == 200_000
+        assert result.n == 200_000
         assert peak < 2**20
         assert len(forks) == cpus - 1
+        assert counts == [True]
+
+
+@pytest.mark.parametrize("middle, n_forks", [(b"\r", 0), (b"\n", 1)])
+def test_rows_ended_by_a_lone_cr_keep_memory_flat(tmp_path, middle, n_forks):
+    # After a \n-ended header, rows end in a lone \r. With no other \n
+    # the file is one range, counted in one process; with a \n just past
+    # its middle it is two ranges of about 1.1 MB, each read in blocks cut
+    # after a \r.
+    rows = b"1,0.5\r0,0.25\r"
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"z,score\n" + rows * 90_000 + middle + rows * 80_000)
+    with _split(2, min_range=_ingest._MIN_RANGE) as (forks, counts):
+        tracemalloc.start()
+        try:
+            result = ingest(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result == ConfusionCounts(tp=0, fn=170_000, fp=0, tn=170_000)
+    assert peak < 2**20
+    assert len(forks) == n_forks
+    assert counts == [True]
 
 
 _SWITCH = '{"z": 1, "a": 1}\n' * 6 + '{"z": 0, "score": 0.4}\n'
@@ -493,10 +525,12 @@ _SWITCH = '{"z": 1, "a": 1}\n' * 6 + '{"z": 0, "score": 0.4}\n'
 def test_split_gives_the_serial_outcome_and_reaps_every_worker(tmp_path, raw, outcome):
     path = tmp_path / "records.txt"
     path.write_bytes(raw)
-    with _split() as forks:
+    with _split() as (forks, counts):
         result = _outcome(ingest, str(path), "auto")
     assert str(result) == outcome.format(path)
     assert len(forks) == 2
+    # Only an error is worth a second count, in one process.
+    assert counts == ([True] if isinstance(result, ConfusionCounts) else [True, False])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -519,11 +553,12 @@ def test_split_with_sigchld_ignored_counts_in_one_process(tmp_path, text, outcom
     path = _write(tmp_path, "records.csv", text)
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        with _split() as forks:
+        with _split() as (forks, counts):
             assert str(_outcome(ingest, path, "auto")) == outcome.format(path)
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert len(forks) == 2
+    assert counts == [True, False]
 
 
 def test_no_split_while_another_thread_runs(tmp_path):
@@ -533,7 +568,7 @@ def test_no_split_while_another_thread_runs(tmp_path):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        with _split() as forks:
+        with _split() as (forks, _):
             assert ingest(path) == ConfusionCounts(2, 1, 1, 1)
     finally:
         release.set()
@@ -544,9 +579,8 @@ def test_no_split_while_another_thread_runs(tmp_path):
 
 _COUNT_WITHOUT_FORK = """
 import os, sys
-import tverskyci._split
 from tverskyci import ingest
-tverskyci._split.MIN_RANGE = 1
+sys.modules["tverskyci.ingest"]._MIN_RANGE = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 def fork():
     raise SystemExit("forked")
