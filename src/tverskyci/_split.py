@@ -1,12 +1,12 @@
 """Count a record file in byte ranges on every CPU, for ``ingest``.
 
-A regular file is cut just after newlines into one byte range per CPU this
-process may run on, at most ``MAX_WORKERS`` and each at least the length
-``ingest`` gives, unless other threads run. Each range but the last is
-counted in a forked worker that sends its four counts back over a pipe;
-the last is counted in this process. Nothing here reports a parse error:
-if any range fails, ``count_ranges`` returns None and ``ingest`` counts the
-whole file again in one process.
+``ingest`` asks for ranges only when a file's header (or first JSON record)
+is its first line. A regular file is cut just after newlines into one byte
+range per CPU this process may run on, at most ``MAX_WORKERS`` and each at
+least the length ``ingest`` gives, unless other threads run. This process
+counts the first range after that line; forked workers count the others and
+send their four counts back over pipes. If any range fails, ``ingest``
+counts the whole file again in one process, which reports the error.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ MAX_WORKERS = 8
 _BLOCK = 1 << 15  # bytes a range reader holds at a time
 
 
-def cut(fd: int, header: str, min_range: int) -> list[tuple[int, int]]:
-    """Byte ranges [start, end) of the file open as fd, about min_range
-    bytes or more each, that split the lines after its header (or first
-    JSON line) among workers, each cut just after a newline, which ends a
-    line under universal newlines and never falls inside a UTF-8
-    character; [] to count in this process."""
+def cut(fd: int, min_range: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, end) of the file open as fd, the first from byte
+    0, about min_range bytes or more each and each cut just after a newline,
+    which ends a line under universal newlines and never falls inside a
+    UTF-8 character; [] to count in this process."""
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         return []
@@ -42,16 +41,7 @@ def cut(fd: int, header: str, min_range: int) -> list[tuple[int, int]]:
     k = min(MAX_WORKERS, cpus, size // min_range)
     if k < 2:
         return []
-    # Split only where the bytes before the first newline hold the header and
-    # nothing but blank lines (so no lone \r ended it before other text).
-    start = _line_end(fd, 0, min(size, _BLOCK))
-    head = os.pread(fd, start, 0).removeprefix(b"\xef\xbb\xbf")
-    try:
-        if not head.endswith(b"\n") or head.decode("utf-8").strip() != header:
-            return []
-    except UnicodeDecodeError:
-        return []
-    cuts = [start] + [_line_end(fd, start + (size - start) * i // k, size) for i in range(1, k)]
+    cuts = [0] + [_line_end(fd, size * i // k, size) for i in range(1, k)]
     ranges = [(a, b) for a, b in zip(cuts, cuts[1:] + [size]) if a < b]
     return ranges if len(ranges) > 1 else []
 
@@ -102,13 +92,13 @@ def _range_lines(fd: int, start: int, end: int) -> Iterator[str]:
 def count_ranges(
     fd: int, ranges: list[tuple[int, int]], count: Callable[[Iterator[str], list], None]
 ) -> list | None:
-    """Count each range but the last in a forked worker and the last here,
-    with count(lines, cells); each range's cells, or None if any failed."""
+    """Count the first range here, after its first line, and each other in
+    a forked worker, with count(lines, cells); each range's cells, or None
+    if any failed."""
     children = []  # (pid, read end of its pipe)
     parts = [[0, 0, 0, 0]]
-    done = False
     try:
-        for start, end in ranges[:-1]:
+        for start, end in ranges[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -120,31 +110,31 @@ def count_ranges(
                 _work(count, _range_lines(fd, start, end), write)
             os.close(write)
             children.append((pid, read))
-        count(_range_lines(fd, *ranges[-1]), parts[0])
-        done = True
+        lines = _range_lines(fd, *ranges[0])
+        next(lines)  # the header or first JSON record, which ingest has read
+        count(lines, parts[0])
     except Exception:  # of any kind: the serial count raises it in file order
-        pass
+        parts[0] = None
     finally:
         for pid, read in children:  # each ends when its range is counted
             with open(read, "rb") as pipe:
-                reply = pipe.read().split()
+                reply = pipe.read()
             try:
-                _, status = os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
             except ChildProcessError:  # reaped already: SIGCHLD is ignored
-                status = -1
-            parts.append([int(n) for n in reply] if status == 0 and len(reply) == 4 else None)
-    return parts if done and None not in parts else None
+                pass
+            parts.append([int(n) for n in reply.split()] if reply.endswith(b"\n") else None)
+    return None if None in parts else parts
 
 
 def _work(count: Callable[[Iterator[str], list], None], lines: Iterator[str], write: int) -> None:
-    """In a forked worker: count lines, write the four counts to the pipe
-    end write, and exit without running exit handlers or flushing the
-    buffers copied from the parent; exit 1 if anything failed."""
-    code = 1
+    """In a forked worker: count lines, write the four counts and a newline
+    to the pipe end write at once (under PIPE_BUF bytes, so atomic), and
+    exit without running exit handlers or flushing the buffers copied from
+    the parent; a reply without the newline is a range that failed."""
     try:
         cells = [0, 0, 0, 0]
         count(lines, cells)
-        os.write(write, " ".join(map(str, cells)).encode())
-        code = 0
+        os.write(write, f"{cells[0]} {cells[1]} {cells[2]} {cells[3]}\n".encode())
     finally:
-        os._exit(code)
+        os._exit(0)

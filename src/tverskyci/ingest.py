@@ -14,8 +14,9 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. A large regular file is counted in
-byte ranges on every CPU (see ``_split``); if any range fails, the whole
+does not grow with the number of rows. A large regular file whose header
+(or first JSON record) is line 1 is counted in byte ranges on every CPU,
+the first in this process (see ``_split``); if any range fails, the whole
 file is counted again in one process, which raises the error of the first
 bad line. Common delimited rows are counted by a few inline checks that
 keep no line count; any other row goes on the spot through the per-row
@@ -128,15 +129,16 @@ def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | N
             count = _count_jsonl
             where, record, value_key = _json_record(*first, path)
             mode = _resolve_mode(mode, value_key, path)
-            _count_record(record, value_key, mode, threshold, where, cells)
+            _count_record(record["z"], record[value_key], mode, threshold, where, cells)
         else:
             count = _count_delimited
         ranges = []
-        # The split code is compiled only for a file large enough to split.
-        if split and os.fstat(fh.fileno()).st_size >= 2 * _MIN_RANGE:
+        # The first range is counted after line 1, so split only if that is the
+        # line first. The split code is compiled only for a file large enough to split.
+        if split and first[0] == 1 and os.fstat(fh.fileno()).st_size >= 2 * _MIN_RANGE:
             from . import _split
 
-            ranges = _split.cut(fh.buffer.fileno(), first[1], _MIN_RANGE)
+            ranges = _split.cut(fh.buffer.fileno(), _MIN_RANGE)
         if not ranges:  # fh resumes just after the line first
             count(first, fh, mode, threshold, path, cells)
             return cells
@@ -160,8 +162,7 @@ def _count_row(
         return False
     if len(fields) != 2:
         raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
-    z = _parse_binary(fields[z_at], "z", where)
-    cells[3 - 2 * z - _prediction(fields[1 - z_at], resolved, threshold, where)] += 1
+    _count_record(fields[z_at], fields[1 - z_at], resolved, threshold, where, cells)
     return True
 
 
@@ -240,7 +241,7 @@ def _count_jsonl(
             where, record, value_key = _json_record(line_no, line, path)
             if ("prediction" if value_key == "a" else "score") != resolved:
                 raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
-            _count_record(record, value_key, resolved, threshold, where, cells)
+            _count_record(record["z"], record[value_key], resolved, threshold, where, cells)
 
 
 def _json_record(line_no: int, line: str, path: str) -> tuple[str, dict, str]:
@@ -267,7 +268,7 @@ def _json_record(line_no: int, line: str, path: str) -> tuple[str, dict, str]:
 
 
 def _count_record(
-    record: dict, value_key: str, resolved: str, threshold: float, where: str, cells: list
+    z: object, value: object, resolved: str, threshold: float, where: str, cells: list
 ) -> None:
-    z = _parse_binary(record["z"], "z", where)
-    cells[3 - 2 * z - _prediction(record[value_key], resolved, threshold, where)] += 1
+    z = _parse_binary(z, "z", where)
+    cells[3 - 2 * z - _prediction(value, resolved, threshold, where)] += 1

@@ -133,16 +133,10 @@ def planning_bound(params: TverskyParams) -> float:
     return round(variance_bound(params).value, _TABLE_DECIMALS)
 
 
-def bound_table(
-    max_weights: tuple[float, ...] = TABLE_WEIGHTS,
-) -> tuple[tuple[float, float], ...]:
-    """(max_weight, bound) rows at table resolution, for display or
+def bound_table() -> tuple[tuple[float, float], ...]:
+    """(max_weight, planning_bound) rows over TABLE_WEIGHTS, for display or
     hand planning."""
-    rows = []
-    for m in max_weights:
-        m = _require_positive(m, "max_weight")
-        rows.append((m, round(variance_bound(TverskyParams(m, m)).value, _TABLE_DECIMALS)))
-    return tuple(rows)
+    return tuple((m, planning_bound(TverskyParams(m, m))) for m in TABLE_WEIGHTS)
 
 
 def _ceil_snapped(bound: float, scale: float) -> int:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from tverskyci import replication_estimates, run_simulation
@@ -12,3 +14,14 @@ def reference_simulation():
     report = run_simulation(REFERENCE_CONFIG)
     estimates = replication_estimates(REFERENCE_CONFIG)
     return report, estimates
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or not yet reaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind: os.waitpid(-1, os.WNOHANG) gave {left}")

@@ -498,6 +498,21 @@ def test_rows_ended_by_a_lone_cr_keep_memory_flat(tmp_path, middle, n_forks):
     assert counts == [True]
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+def test_a_header_ended_by_a_lone_cr_is_split(tmp_path, bom):
+    # 2.3 MB of rows after a header ended by a lone \r, with a \n just past
+    # the middle: two ranges on two CPUs.
+    rows = b"1,0.5\r0,0.25\r1,0.75\r"
+    path = tmp_path / "records.csv"
+    path.write_bytes(bom + b"z,score\r" + rows * 60_000 + b"\n" + rows * 50_000)
+    serial = _ingest._count_file(str(path), "auto", 0.5, split=False)
+    with _split(2, min_range=_ingest._MIN_RANGE) as (forks, counts):
+        result = ingest(str(path))
+    assert result == ConfusionCounts(*serial) == ConfusionCounts(110_000, 110_000, 0, 110_000)
+    assert len(forks) == 1
+    assert counts == [True]
+
+
 _SWITCH = '{"z": 1, "a": 1}\n' * 6 + '{"z": 0, "score": 0.4}\n'
 
 
@@ -544,21 +559,25 @@ def test_split_gives_the_serial_outcome_and_reaps_every_worker(tmp_path, raw, ou
             "DataError: {}:6: column 'a' must be exactly 0 or 1, got '7'",
         ),
     ],
+    ids=["counts", "bad row"],
 )
-def test_split_with_sigchld_ignored_counts_in_one_process(tmp_path, text, outcome):
-    # The kernel reaps the workers itself, so ingest cannot see how they
-    # exited; it counts again in one process.
+def test_split_with_sigchld_ignored_takes_each_workers_reply(tmp_path, text, outcome):
+    # The kernel reaps the workers itself; their replies alone say whether
+    # each range was counted, so only a bad row brings a second count.
     import signal
 
     path = _write(tmp_path, "records.csv", text)
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         with _split() as (forks, counts):
-            assert str(_outcome(ingest, path, "auto")) == outcome.format(path)
+            result = _outcome(ingest, path, "auto")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     finally:
         signal.signal(signal.SIGCHLD, handler)
+    assert str(result) == outcome.format(path)
     assert len(forks) == 2
-    assert counts == [True, False]
+    assert counts == ([True] if isinstance(result, ConfusionCounts) else [True, False])
 
 
 def test_no_split_while_another_thread_runs(tmp_path):
