@@ -39,46 +39,6 @@ from .planning import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfusionCounts",
-    "DataError",
-    "DegenerateSampleError",
-    "EstimateReport",
-    "HistogramSummary",
-    "InvalidParameterError",
-    "PlanResult",
-    "ScoreModel",
-    "SimulationConfig",
-    "SimulationReport",
-    "SummaryStats",
-    "TverskyCIError",
-    "TverskyParams",
-    "UsageError",
-    "VarianceBound",
-    "asymptotic_variance",
-    "bootstrap_se",
-    "bound_table",
-    "confidence_interval",
-    "fbeta_to_tversky",
-    "histogram_summary",
-    "ingest",
-    "normal_cdf",
-    "normal_quantile",
-    "planning_bound",
-    "population_index",
-    "population_variance",
-    "precision",
-    "recall",
-    "replication_estimates",
-    "required_events",
-    "required_total",
-    "run_simulation",
-    "summarize",
-    "tversky_index",
-    "variance_bound",
-    "weighted_error_ratio",
-]
-
 # The simulation names load numpy, so they are imported on first access only.
 _SIMULATION_NAMES = {
     "HistogramSummary",
@@ -92,6 +52,37 @@ _SIMULATION_NAMES = {
     "replication_estimates",
     "run_simulation",
 }
+
+__all__ = sorted([
+    "ConfusionCounts",
+    "DataError",
+    "DegenerateSampleError",
+    "EstimateReport",
+    "InvalidParameterError",
+    "PlanResult",
+    "SummaryStats",
+    "TverskyCIError",
+    "TverskyParams",
+    "UsageError",
+    "VarianceBound",
+    "asymptotic_variance",
+    "bound_table",
+    "confidence_interval",
+    "fbeta_to_tversky",
+    "ingest",
+    "normal_cdf",
+    "normal_quantile",
+    "planning_bound",
+    "precision",
+    "recall",
+    "required_events",
+    "required_total",
+    "summarize",
+    "tversky_index",
+    "variance_bound",
+    "weighted_error_ratio",
+    *_SIMULATION_NAMES,
+])
 
 
 def __getattr__(name: str) -> object:

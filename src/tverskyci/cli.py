@@ -12,16 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict
 
-from .errors import (
-    DataError,
-    DegenerateSampleError,
-    InvalidParameterError,
-    TverskyCIError,
-    UsageError,
-)
+from .errors import TverskyCIError, UsageError
 from .estimation import (
     ConfusionCounts,
     SummaryStats,
@@ -35,13 +29,6 @@ from .estimation import (
 from .ingest import MODES, ingest
 from .planning import bound_table, planning_bound, required_events, required_total
 
-_EXIT_CODES: tuple[tuple[type[TverskyCIError], int], ...] = (
-    (UsageError, 1),
-    (DataError, 2),
-    (DegenerateSampleError, 3),
-    (InvalidParameterError, 4),
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2; usage errors are 1 here
@@ -49,43 +36,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _counts_arg(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected 4 comma-separated counts: TP,FN,FP,TN")
-    try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"counts must be integers, got {text!r}") from None
+def _comma_fields(
+    types: tuple[type, ...], wrong_count: str, malformed: str
+) -> Callable[[str], tuple]:
+    """An argparse type for len(types) comma-separated fields, each parsed by
+    its type. A bad field reports ``malformed`` followed by the text's repr."""
 
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != len(types):
+            raise argparse.ArgumentTypeError(wrong_count)
+        try:
+            return tuple(kind(part) for kind, part in zip(types, parts))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{malformed} {text!r}") from None
 
-def _summary_arg(text: str) -> tuple[int, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            "expected 4 comma-separated values: n,tp_rate,tversky,tversky_sq"
-        )
-    try:
-        return (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed summary {text!r}") from None
-
-
-def _pair_arg(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected 2 comma-separated weights: A,B")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"weights must be numbers, got {text!r}") from None
+    return parse
 
 
 def _add_params_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float, help="F-beta importance parameter (default 1)")
     group.add_argument(
-        "--ab", type=_pair_arg, metavar="A,B", help="explicit fp,fn weights for a Tversky index"
+        "--ab",
+        type=_comma_fields(
+            (float, float),
+            "expected 2 comma-separated weights: A,B",
+            "weights must be numbers, got",
+        ),
+        metavar="A,B",
+        help="explicit fp,fn weights for a Tversky index",
     )
 
 
@@ -93,12 +73,23 @@ def _add_input_flags(sub: argparse.ArgumentParser, include_summary: bool) -> Non
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--input", metavar="PATH", help="record file (delimited or JSON lines)")
     group.add_argument(
-        "--counts", type=_counts_arg, metavar="TP,FN,FP,TN", help="inline confusion counts"
+        "--counts",
+        type=_comma_fields(
+            (int, int, int, int),
+            "expected 4 comma-separated counts: TP,FN,FP,TN",
+            "counts must be integers, got",
+        ),
+        metavar="TP,FN,FP,TN",
+        help="inline confusion counts",
     )
     if include_summary:
         group.add_argument(
             "--summary",
-            type=_summary_arg,
+            type=_comma_fields(
+                (int, float, float, float),
+                "expected 4 comma-separated values: n,tp_rate,tversky,tversky_sq",
+                "malformed summary",
+            ),
             metavar="N,TP_RATE,TVERSKY,TVERSKY_SQ",
             help="inline summary statistics",
         )
@@ -388,11 +379,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         payload, lines, warnings = _COMMANDS[args.command](args)
     except TverskyCIError as exc:
-        for kind, code in _EXIT_CODES:
-            if isinstance(exc, kind):
-                print(f"tverskyci: error: {exc}", file=sys.stderr)
-                return code
-        raise
+        print(f"tverskyci: error: {exc}", file=sys.stderr)
+        return exc.exit_code
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":

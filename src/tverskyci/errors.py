@@ -1,7 +1,9 @@
 """Exception hierarchy shared by every module in the package.
 
-Errors are typed so callers (and the CLI exit-code mapping) can distinguish
-bad parameters from degenerate data from unreadable input files.
+Errors are typed so callers can distinguish bad parameters from degenerate
+data from unreadable input files. Each type carries the exit code the CLI
+returns for it in ``exit_code``: 1 usage, 2 data, 3 degenerate sample,
+4 numeric domain.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ class TverskyCIError(Exception):
 class InvalidParameterError(TverskyCIError, ValueError):
     """A numeric argument is outside its domain (weights, levels, seeds, ...)."""
 
+    exit_code = 4
+
 
 class DegenerateSampleError(TverskyCIError):
     """The data cannot support the requested estimate.
@@ -24,6 +28,8 @@ class DegenerateSampleError(TverskyCIError):
     degenerate draws.
     """
 
+    exit_code = 3
+
 
 class DataError(TverskyCIError):
     """An input file is missing, empty, malformed, or mixes record modes.
@@ -32,6 +38,10 @@ class DataError(TverskyCIError):
     rows are never skipped silently.
     """
 
+    exit_code = 2
+
 
 class UsageError(TverskyCIError):
     """Command-line flags conflict or a required flag is missing."""
+
+    exit_code = 1

@@ -2,18 +2,17 @@ import os
 
 import pytest
 
-from tverskyci import replication_estimates, run_simulation
+from tverskyci import run_simulation
 
 from tests._reference import REFERENCE_CONFIG
 
 
 @pytest.fixture(scope="session")
 def reference_simulation():
-    """Report and per-replication estimates of the reference experiment,
-    run once per session."""
+    """Report and kept estimates of the reference experiment, run once per
+    session."""
     report = run_simulation(REFERENCE_CONFIG)
-    estimates = replication_estimates(REFERENCE_CONFIG)
-    return report, estimates
+    return report, report.estimates
 
 
 @pytest.fixture(autouse=True)

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from tverskyci import (
+    DegenerateSampleError,
     EstimateReport,
     HistogramSummary,
     PlanResult,
@@ -16,6 +17,7 @@ from tverskyci import (
     SimulationConfig,
     SimulationReport,
     TverskyParams,
+    replication_estimates,
 )
 from tverskyci.cli import main
 from tverskyci.schemas import CI_SCHEMA, PLAN_SCHEMA, SCHEMAS_BY_COMMAND, SIMULATE_SCHEMA
@@ -251,6 +253,19 @@ def test_degenerate_sample_is_exit_3(capsys):
     code, _, err = run_cli(capsys, "ci", "--counts", "0,5,5,90")
     assert code == 3
     assert "true positives" in err
+
+
+def test_a_model_with_no_true_positives_fails_before_any_draw(capsys):
+    # Every replication of this model is degenerate, but the model's own
+    # error is the one reported.
+    message = "model gives zero true-positive probability"
+    code, out, err = run_cli(capsys, "simulate", "--mu", "-40", "--threshold", "0")
+    assert (code, out, err) == (3, "", f"tverskyci: error: {message}\n")
+    config = SimulationConfig(
+        model=ScoreModel(0.5, -40.0, 0.0), n=1000, replications=50, params=TverskyParams(1, 1)
+    )
+    with pytest.raises(DegenerateSampleError, match=f"^{message}$"):
+        replication_estimates(config)
 
 
 def test_domain_error_is_exit_4(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,21 @@ def test_report_carries_the_kept_estimates():
     other = dataclasses.replace(report, estimates=np.zeros(1))
     assert other == report
     assert hash(other) == hash(report)
+
+
+def test_run_simulation_memory_per_replication():
+    # About 113 B per replication: the kept cells (32 B) plus _intervals'
+    # exact tp/n rates, an object array of Python ints, their quotients as
+    # Python floats and a float64 copy (80 B). tracemalloc sees numpy's buffers.
+    config = dataclasses.replace(REFERENCE_CONFIG, replications=20_000)
+    tracemalloc.start()
+    try:
+        report = run_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.estimates.size == config.replications
+    assert peak < 130 * config.replications
 
 
 def test_sizes_beyond_int64_are_parameter_errors():

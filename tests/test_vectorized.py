@@ -2,7 +2,8 @@
 
 The oracle below is that loop: a fresh Philox generator keyed on
 (seed, i) for each replication, then a scalar confidence_interval call.
-The vectorized draw must match it bit for bit.
+What run_simulation and replication_estimates return must match its
+aggregates bit for bit.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tverskyci import (
     ConfusionCounts,
+    DegenerateSampleError,
     InvalidParameterError,
     ScoreModel,
     SimulationConfig,
@@ -21,34 +23,34 @@ from tverskyci import (
     confidence_interval,
     population_index,
     population_variance,
+    replication_estimates,
+    run_simulation,
 )
 from tverskyci.estimation import _variance_kernel
-from tverskyci.simulation import _draw, _intervals
+from tverskyci.simulation import _intervals
 from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS
 
 F05 = TverskyParams(0.8, 0.2)
 
 
 def oracle_draw(config):
+    """Estimates, ses and covered flags of the replications with a true
+    positive, in replication order, and how many had none."""
     pvals = np.array(config.model.cell_probabilities)
     true_value = population_index(config.model, config.params)
-    reps = config.replications
-    estimates = np.full(reps, np.nan)
-    ses = np.full(reps, np.nan)
-    covered = np.zeros(reps, dtype=bool)
-    degenerate = np.zeros(reps, dtype=bool)
-    for i in range(reps):
+    estimates, ses, covered, degenerate = [], [], [], 0
+    for i in range(config.replications):
         key = np.array([config.seed, i], dtype=np.uint64)
         cells = np.random.Generator(np.random.Philox(key=key)).multinomial(config.n, pvals)
         if cells[0] == 0:
-            degenerate[i] = True
+            degenerate += 1
             continue
         counts = ConfusionCounts(*(int(c) for c in cells))
         report = confidence_interval(counts, config.params, config.level)
-        estimates[i] = report.estimate
-        ses[i] = report.se
-        covered[i] = report.ci_lower <= true_value <= report.ci_upper
-    return estimates, ses, covered, degenerate
+        estimates.append(report.estimate)
+        ses.append(report.se)
+        covered.append(report.ci_lower <= true_value <= report.ci_upper)
+    return np.array(estimates, dtype=float), np.array(ses), np.array(covered), degenerate
 
 
 def _config(n, replications, params=F05, model=REFERENCE_MODEL, level=0.95, seed=0):
@@ -77,11 +79,28 @@ def _config(n, replications, params=F05, model=REFERENCE_MODEL, level=0.95, seed
          "perfect", "huge-n"],
 )
 def test_draw_matches_per_replication_oracle_bitwise(config):
-    got = _draw(config)
-    want = oracle_draw(config)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
+    estimates, ses, covered, degenerate = oracle_draw(config)
+    got = replication_estimates(config)
+    assert got.dtype == estimates.dtype
+    assert got.tobytes() == estimates.tobytes()
+    if estimates.size == 0:
+        with pytest.raises(DegenerateSampleError, match="replications were degenerate"):
+            run_simulation(config)
+        return
+    report = run_simulation(config)
+    assert report.estimates.tobytes() == estimates.tobytes()
+    sd = float(estimates.std(ddof=1)) if estimates.size >= 2 else 0.0
+    want = (
+        population_index(config.model, config.params),
+        float(estimates.mean()),
+        sd,
+        float(ses.mean()),
+        float(covered.mean()),
+    )
+    fields = (report.true_value, report.mean_estimate, report.sd_estimates, report.mean_se,
+              report.coverage)
+    assert [x.hex() for x in fields] == [x.hex() for x in want]
+    assert report.degenerate_count == degenerate
 
 
 _cells = st.integers(0, 2**60)
@@ -104,14 +123,15 @@ _cells = st.integers(0, 2**60)
 def test_vectorized_interval_matches_scalar_bitwise(tp, fn, fp, tn, a, b, level, value):
     params = TverskyParams(a, b)
     cells = np.array([[tp, fn, fp, tn]], dtype=np.int64)
+    n = tp + fn + fp + tn
     try:
         report = confidence_interval(ConfusionCounts(tp, fn, fp, tn), params, level)
     except InvalidParameterError as exc:
         with pytest.raises(InvalidParameterError) as vectorized:
-            _intervals(cells, params, level)
+            _intervals(cells, n, params, level)
         assert str(vectorized.value) == str(exc)
         return
-    estimate, se, lower, upper = (float(x[0]) for x in _intervals(cells, params, level))
+    estimate, se, lower, upper = (float(x[0]) for x in _intervals(cells, n, params, level))
     assert estimate.hex() == report.estimate.hex()
     assert se.hex() == report.se.hex()
     assert lower.hex() == report.ci_lower.hex()
@@ -130,11 +150,6 @@ def test_variance_kernel_rounds_like_python_floats():
     want = np.array([(b + a * a) * x**4 / p for a, b, x, p in rows])
     assert _variance_kernel(r1, r2, t, rate).tobytes() == want.tobytes()
     assert [float(_variance_kernel(*row)) for row in rows[:1000]] == want[:1000].tolist()
-
-
-def test_intervals_reject_negative_counts():
-    with pytest.raises(InvalidParameterError, match="must be >= 0"):
-        _intervals(np.array([[5, -1, 2, 3]], dtype=np.int64), F05, 0.95)
 
 
 def test_scalar_variance_callers_get_python_floats():
@@ -170,10 +185,13 @@ def test_chunked_bootstrap_matches_single_draw(counts, resamples, seed):
 
 def test_vectorized_tiny_index_matches_scalar_bitwise():
     # Rows 0 and 2 have an index near 1e-100, whose t^4 underflows; row 1 is
-    # ordinary. Each row must take its own branch of the kernel.
+    # ordinary. Each row must take its own branch of the kernel; the rows
+    # have different totals, so each goes through _intervals alone.
     params = TverskyParams(1e100, 1.0)
     rows = [(1, 0, 1, 0), (5, 3, 0, 9), (3, 7, 2, 1)]
-    _, se, _, _ = _intervals(np.array(rows, dtype=np.int64), params, 0.95)
+    se = np.concatenate(
+        [_intervals(np.array([row], dtype=np.int64), sum(row), params, 0.95)[1] for row in rows]
+    )
     want = [confidence_interval(ConfusionCounts(*row), params).se for row in rows]
     assert [x.hex() for x in se.tolist()] == [x.hex() for x in want]
     assert se[0] > 0.0 and se[2] > 0.0
