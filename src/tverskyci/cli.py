@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import asdict
 
 from .errors import TverskyCIError, UsageError
 from .estimation import (
     ConfusionCounts,
     SummaryStats,
     TverskyParams,
+    _consistent_ratios,
     confidence_interval,
     fbeta_to_tversky,
     precision,
@@ -179,10 +179,14 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
 
 
 def _fields(record: object, *omit: str) -> dict:
-    """A result dataclass as a JSON object, less the fields named in omit."""
-    payload = asdict(record)
-    for name in omit:
-        del payload[name]
+    """A result record, a named tuple or one of the simulation's dataclasses,
+    as a JSON object less the fields named in omit. A named tuple held in a
+    field (the params) becomes a nested object, not the list json.dumps prints."""
+    names = getattr(record, "_fields", None) or record.__dataclass_fields__
+    payload = {name: getattr(record, name) for name in names if name not in omit}
+    for name, value in payload.items():
+        if hasattr(value, "_fields"):
+            payload[name] = _fields(value)
     return payload
 
 
@@ -204,6 +208,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
     data = _resolve_data(args)
     warnings: list[str] = []
     if isinstance(data, SummaryStats):
+        _consistent_ratios(data, params)  # the checks ci makes of a summary
         estimate = data.tversky
         prec = rec = None
         warnings.append("precision and recall require record-level input; reported as n/a")
@@ -215,7 +220,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
     payload = {
         "command": "estimate",
         "n": n,
-        "params": asdict(params),
+        "params": _fields(params),
         "estimate": estimate,
         "precision": prec,
         "recall": rec,
@@ -239,7 +244,7 @@ def _cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
             "estimate is at the boundary (zero variance); "
             "the normal approximation is uninformative here"
         )
-    payload = {"command": "ci", "params": asdict(params), **_fields(report, "at_boundary")}
+    payload = {"command": "ci", "params": _fields(params), **_fields(report, "at_boundary")}
     lines = [
         f"n: {report.n}",
         _weights(params),
@@ -260,7 +265,7 @@ def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
     else:
         plan = required_events(args.delta, params)
     bound = planning_bound(params)
-    payload = {"command": "plan", "bound": bound, **asdict(plan)}
+    payload = {"command": "plan", "bound": bound, **_fields(plan)}
     lines = [
         _weights(params),
         f"target_se: {plan.target_se:g}",
@@ -311,9 +316,9 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
         warnings.append("fewer than 2 usable replications; histogram diagnostics omitted")
     payload = {
         "command": "simulate",
-        "config": {**asdict(model), **_fields(config, "model")},
+        "config": {**_fields(model), **_fields(config, "model")},
         "report": _fields(report, "estimates"),
-        "histogram": None if histogram is None else asdict(histogram),
+        "histogram": None if histogram is None else _fields(histogram),
     }
     lines = [
         f"model: prevalence={model.prevalence:g} shift={model.shift:g} "
@@ -343,7 +348,7 @@ def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[dict, list[str], lis
     payload = {
         "command": "bootstrap-check",
         "n": counts.n,
-        "params": asdict(params),
+        "params": _fields(params),
         "analytic_se": report.se,
         "bootstrap_se": boot,
         "relative_gap": gap,

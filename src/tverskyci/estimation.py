@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateSampleError, InvalidParameterError
 
@@ -114,26 +114,28 @@ def _require_open_unit(value: object, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionCounts:
+def _record(field_names: str) -> type:
+    """A named-tuple base for a record class. Its _make, and so _replace, goes
+    through the record's constructor and checks; namedtuple's own skip them."""
+    base = namedtuple("_Record", field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class ConfusionCounts(_record("tp fn fp tn")):
     """The four joint counts of (label, prediction); sufficient for all
     analytic estimates in this package.
 
     Field order matches the ``--counts`` CLI flag: tp, fn, fp, tn.
     """
 
-    tp: int
-    fn: int
-    fp: int
-    tn: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tp", _require_count(self.tp, "tp"))
-        object.__setattr__(self, "fn", _require_count(self.fn, "fn"))
-        object.__setattr__(self, "fp", _require_count(self.fp, "fp"))
-        object.__setattr__(self, "tn", _require_count(self.tn, "tn"))
-        if self.n < 1:
+    def __new__(cls, tp: int, fn: int, fp: int, tn: int) -> "ConfusionCounts":
+        cells = [_require_count(v, name) for v, name in zip((tp, fn, fp, tn), cls._fields)]
+        if sum(cells) < 1:
             raise InvalidParameterError("confusion counts must total at least 1")
+        return super().__new__(cls, *cells)
 
     @property
     def n(self) -> int:
@@ -162,18 +164,16 @@ class ConfusionCounts:
         return ConfusionCounts(self.tp * k, self.fn * k, self.fp * k, self.tn * k)
 
 
-@dataclass(frozen=True, slots=True)
-class TverskyParams:
+class TverskyParams(_record("fp_weight fn_weight")):
     """Index weights: ``fp_weight`` scales false positives, ``fn_weight``
     scales false negatives. Both must be finite and strictly positive.
     """
 
-    fp_weight: float
-    fn_weight: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fp_weight", _require_positive(self.fp_weight, "fp_weight"))
-        object.__setattr__(self, "fn_weight", _require_positive(self.fn_weight, "fn_weight"))
+    def __new__(cls, fp_weight: float, fn_weight: float) -> "TverskyParams":
+        fp_weight = _require_positive(fp_weight, "fp_weight")
+        return super().__new__(cls, fp_weight, _require_positive(fn_weight, "fn_weight"))
 
     @property
     def max_weight(self) -> float:
@@ -201,8 +201,7 @@ def fbeta_to_tversky(beta: float) -> TverskyParams:
     return TverskyParams(1.0 / denom, b * b / denom)
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryStats:
+class SummaryStats(_record("n tp_rate tversky tversky_sq")):
     """Summary input path: everything the variance formula needs when the
     raw counts are unavailable.
 
@@ -210,29 +209,26 @@ class SummaryStats:
     square of the index.
     """
 
-    n: int
-    tp_rate: float
-    tversky: float
-    tversky_sq: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = _require_count(self.n, "n")
+    def __new__(cls, n: int, tp_rate: float, tversky: float, tversky_sq: float) -> "SummaryStats":
+        n = _require_count(n, "n")
         if n < 1:
             raise InvalidParameterError("n must be >= 1")
-        object.__setattr__(self, "n", _require_float_range(n))
-        rate = float(self.tp_rate)
-        if not (0.0 <= rate <= 1.0) or not math.isfinite(rate):
-            raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {self.tp_rate!r}")
-        object.__setattr__(self, "tp_rate", rate)
-        for name in ("tversky", "tversky_sq"):
-            value = float(getattr(self, name))
+        fields = [_require_float_range(n), float(tp_rate)]
+        if not (0.0 <= fields[1] <= 1.0) or not math.isfinite(fields[1]):
+            raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {tp_rate!r}")
+        for name, value in (("tversky", tversky), ("tversky_sq", tversky_sq)):
+            value = float(value)
             if not (0.0 < value <= 1.0):
                 raise InvalidParameterError(f"{name} must lie in (0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            fields.append(value)
+        return super().__new__(cls, *fields)
 
 
-@dataclass(frozen=True, slots=True)
-class EstimateReport:
+class EstimateReport(
+    _record("estimate variance se half_width ci_lower ci_upper level n at_boundary")
+):
     """A point estimate with its large-sample uncertainty summary.
 
     ``variance`` is on the per-observation scale, so ``se`` equals
@@ -242,15 +238,7 @@ class EstimateReport:
     (a perfect sample), where the normal approximation is vacuous.
     """
 
-    estimate: float
-    variance: float
-    se: float
-    half_width: float
-    ci_lower: float
-    ci_upper: float
-    level: float
-    n: int
-    at_boundary: bool
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +381,13 @@ def _finite_variance(variance: float) -> float:
 
 def _summary_variance(stats: SummaryStats, params: TverskyParams) -> float:
     """asymptotic_variance of summary input, after the consistency checks."""
+    r1, r2 = _consistent_ratios(stats, params)
+    return _finite_variance(_variance_kernel(r1, r2, stats.tversky, stats.tp_rate))
+
+
+def _consistent_ratios(stats: SummaryStats, params: TverskyParams) -> tuple[float, float]:
+    """(1/tversky - 1, 1/tversky_sq - 1) of a summary, which must have true
+    positives and agree with every bound that counts with these weights imply."""
     tversky, tversky_sq, tp_rate = stats.tversky, stats.tversky_sq, stats.tp_rate
     if tp_rate <= 0.0:
         raise DegenerateSampleError(
@@ -420,7 +415,7 @@ def _summary_variance(stats: SummaryStats, params: TverskyParams) -> float:
         raise InvalidParameterError(
             f"inconsistent summary statistics: tversky is 1 but tversky_sq is {tversky_sq!r}"
         )
-    return _finite_variance(_variance_kernel(r1, r2, tversky, tp_rate))
+    return r1, r2
 
 
 def confidence_interval(

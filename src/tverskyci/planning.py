@@ -29,10 +29,9 @@ table reproduces the returned counts exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .estimation import TverskyParams, _require_positive
+from .estimation import TverskyParams, _record, _require_positive
 
 __all__ = [
     "VarianceBound",
@@ -55,8 +54,7 @@ _TABLE_DECIMALS = 4
 _CEIL_RTOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class VarianceBound:
+class VarianceBound(_record("max_weight root_minus root_plus maximizer value")):
     """Closed-form maximization of the variance profile for one weight pair.
 
     ``root_minus`` and ``root_plus`` are the two stationary candidates of
@@ -65,15 +63,10 @@ class VarianceBound:
     root diverges and is reported as inf.
     """
 
-    max_weight: float
-    root_minus: float
-    root_plus: float
-    maximizer: float
-    value: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PlanResult:
+class PlanResult(_record("required_events required_total target_se params prevalence")):
     """Sample-size plan for a target standard error.
 
     ``required_events`` is the minimum number of positive-label records;
@@ -81,11 +74,7 @@ class PlanResult:
     minimum overall sample size.
     """
 
-    required_events: int
-    required_total: int | None
-    target_se: float
-    params: TverskyParams
-    prevalence: float | None
+    __slots__ = ()
 
 
 def variance_bound(params: TverskyParams) -> VarianceBound:
@@ -139,12 +128,16 @@ def bound_table() -> tuple[tuple[float, float], ...]:
     return tuple((m, planning_bound(TverskyParams(m, m))) for m in TABLE_WEIGHTS)
 
 
-def _ceil_snapped(bound: float, scale: float) -> int:
-    # ceil(bound / scale) for a positive bound: a quotient past the float range
-    # is no plan, and one that underflows to 0 still needs one record.
+def _ceil_snapped(bound: float, delta: float, params: TverskyParams, prevalence=None) -> int:
+    # ceil(bound / (delta^2 * fn_weight [* prevalence])) for a positive bound: a
+    # quotient past the float range is no plan, and one that underflows to 0
+    # still needs one record. The error names the inputs: the divisor may be 0.
+    scale = delta * delta * params.fn_weight * (1.0 if prevalence is None else prevalence)
     quotient = bound / scale if scale > 0.0 else math.inf
     if quotient == math.inf:
-        raise InvalidParameterError(f"the plan {bound:g}/{scale:g} exceeds the float range")
+        given = f"delta={delta:g}, fn_weight={params.fn_weight:g}"
+        given += "" if prevalence is None else f", prevalence={prevalence:g}"
+        raise InvalidParameterError(f"the plan for {given} exceeds the float range")
     return max(1, math.ceil(quotient * (1.0 - _CEIL_RTOL)))
 
 
@@ -154,9 +147,8 @@ def required_events(delta: float, params: TverskyParams) -> PlanResult:
     ceil(V / (delta^2 * fn_weight)) with V = planning_bound(params).
     """
     delta = _require_positive(delta, "delta")
-    events = _ceil_snapped(planning_bound(params), delta * delta * params.fn_weight)
     return PlanResult(
-        required_events=events,
+        required_events=_ceil_snapped(planning_bound(params), delta, params),
         required_total=None,
         target_se=delta,
         params=params,
@@ -177,10 +169,11 @@ def required_total(delta: float, params: TverskyParams, prevalence: float) -> Pl
     if prevalence > 1.0:
         raise InvalidParameterError(f"prevalence must lie in (0, 1], got {prevalence}")
     bound = planning_bound(params)
-    scale = delta * delta * params.fn_weight
+    # The total first: its divisor is the smaller, so an error names prevalence.
+    total = _ceil_snapped(bound, delta, params, prevalence)
     return PlanResult(
-        required_events=_ceil_snapped(bound, scale),
-        required_total=_ceil_snapped(bound, scale * prevalence),
+        required_events=_ceil_snapped(bound, delta, params),
+        required_total=total,
         target_se=delta,
         params=params,
         prevalence=prevalence,

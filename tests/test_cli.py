@@ -60,6 +60,29 @@ def test_estimate_json_from_summary_flags_missing_metrics(capsys):
     assert "warning:" in err
 
 
+@pytest.mark.parametrize(
+    "summary, code, message",
+    [
+        (
+            "10,0.1,0.5,0.6",
+            4,
+            "inconsistent summary statistics: (1/tversky_sq - 1)/(1/tversky - 1) = 0.666667 "
+            "lies outside the weight range [0.5, 0.5]",
+        ),
+        (
+            "10,0,0.5,0.6",
+            3,
+            "tp_rate is zero; the variance formula divides by the true-positive rate",
+        ),
+    ],
+    ids=["inconsistent", "no true positives"],
+)
+def test_estimate_checks_a_summary_as_ci_does(capsys, summary, code, message):
+    for command in ("ci", "estimate"):
+        result = run_cli(capsys, command, "--summary", summary)
+        assert result == (code, "", f"tverskyci: error: {message}\n")
+
+
 def test_ci_json_retail_example(capsys):
     payload, _ = run_json(
         capsys, "ci", "--summary", "535,0.535,0.861,0.900", "--beta", "0.5", "--level", "0.95"
@@ -332,6 +355,22 @@ def test_out_of_range_inputs_are_exit_4(capsys, argv):
     assert err.startswith("tverskyci: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (("--delta", "1e-300"), "delta=1e-300, fn_weight=0.5"),
+        (("--delta", "1e-300", "--ez", "0.5"), "delta=1e-300, fn_weight=0.5, prevalence=0.5"),
+        (("--delta", "0.01", "--ab", "1,1e-310"), "delta=0.01, fn_weight=1e-310"),
+    ],
+    ids=["events", "total", "small fn_weight"],
+)
+def test_plan_past_the_float_range_names_its_inputs(capsys, argv, inputs):
+    # The divisor delta**2 * fn_weight underflows to 0 or a subnormal, so the
+    # message names the inputs instead.
+    result = run_cli(capsys, "plan", *argv)
+    assert result == (4, "", f"tverskyci: error: the plan for {inputs} exceeds the float range\n")
+
+
 def test_non_utf8_input_is_exit_2(capsys, tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"z,a\n1,1\n\xff\xfe\n")
@@ -361,11 +400,15 @@ def test_simulate_with_underflowing_moments_omits_them(capsys):
 
 
 def _fields(cls, *omit):
+    # The estimation and planning records are named tuples; the simulation
+    # records are dataclasses.
+    if hasattr(cls, "_fields"):
+        return set(cls._fields) - set(omit)
     return {field.name for field in dataclasses.fields(cls)} - set(omit)
 
 
 def test_dataclass_payloads_have_exactly_the_schema_fields():
-    # ci, plan and simulate print library dataclasses as they are; a field
+    # ci, plan and simulate print library records as they are; a field
     # added to one of them must be added to its schema too.
     def properties(schema):
         return set(schema["properties"])

@@ -1,6 +1,7 @@
 """numpy is loaded only by simulate, bootstrap-check and the simulation API,
 statistics only by commands that need a normal quantile, and no module for
-running other processes by any short command.
+running other processes, nor dataclasses and the inspect module it loads, by
+any short command.
 
 Each case runs in a fresh interpreter, because a module stays in sys.modules
 once any test in this process has imported it.
@@ -88,6 +89,28 @@ def test_short_commands_never_import_process_modules(tmp_path, argv):
     # for a file large enough to split; these would add to every start.
     (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
     modules = ("multiprocessing", "concurrent", "subprocess", "selectors", "tverskyci._split")
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', f"set({modules!r}).isdisjoint(sys.modules)")
+    assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("ci", "--counts", "300,60,40,600"),
+        ("ci", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5"),
+        ("ci", "--input", "records.csv"),
+        ("estimate", "--counts", "30,20,10,40"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_short_commands_never_import_dataclasses(tmp_path, argv):
+    # The estimation and planning records are named tuples; dataclasses
+    # loads inspect, which no short command needs.
+    (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
+    modules = ("dataclasses", "inspect")
     code = _RUN_MAIN.replace('"numpy" in sys.modules', f"set({modules!r}).isdisjoint(sys.modules)")
     assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
 
