@@ -18,9 +18,9 @@ arrays in index order. One Philox serves every replication, re-keyed to
 (seed, i) with the rest of its state reset: the same streams as a fresh
 Philox(key=[seed, i]) each, without building one per replication. The
 replications with a true positive are kept, and their intervals are
-computed in one vectorized pass. run_simulation peaks at about 113 bytes
-per replication under tracemalloc: the kept cells, 32 bytes, and the exact
-tp/n rates, which pass through Python ints and floats.
+computed in one vectorized pass per chunk of replications. Only what the
+report needs is kept: each estimate, se and covered flag, 17 bytes per
+replication, plus one chunk's cells and interval temporaries.
 
 The nonparametric bootstrap here is a verification oracle for the analytic
 standard error, not an alternative product feature.
@@ -72,7 +72,7 @@ def _require_bits(value: object, name: str, bits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ScoreModel:
     """Gaussian score model: label ~ Bernoulli(prevalence), score
     S ~ Normal(shift * label, 1), prediction = I(S > threshold)."""
@@ -132,7 +132,7 @@ def population_variance(model: ScoreModel, params: TverskyParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimulationConfig:
     """One replicated experiment: draw ``replications`` datasets of ``n``
     records from ``model``, estimate with ``params``, and build level-
@@ -160,7 +160,7 @@ class SimulationConfig:
         object.__setattr__(self, "seed", _require_bits(self.seed, "seed", 64))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimulationReport:
     """Aggregates over the non-degenerate replications.
 
@@ -189,9 +189,10 @@ def _intervals(
     int64 array of (tp, fn, fp, tn) counts with tp >= 1 that each total n:
     the same bits confidence_interval gives for each row as ConfusionCounts."""
     tp, fn, fp = cells[:, 0], cells[:, 1], cells[:, 2]
-    # Python's int / int rounds once, as ConfusionCounts.tp_rate does; int64
-    # division rounds both operands to float64 first, which differs past 2**53.
-    tp_rate = (tp.astype(object) / n).astype(float)
+    # ConfusionCounts.tp_rate is Python's int / int, which rounds once. Up to
+    # 2**53 both operands are exact in float64, so float64 division agrees;
+    # past it, int64 division would round each operand first.
+    tp_rate = tp / n if n <= 2**53 else (tp.astype(object) / n).astype(float)
     # Overflow to inf or nan is expected here; the largest variance is inf
     # or nan exactly when some row's is, and _finite_variance raises on it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -206,28 +207,61 @@ def _intervals(
     return estimate, se, lower, upper
 
 
-def _draw(config: SimulationConfig) -> tuple[np.ndarray, int]:
-    """Cells of the replications with a true positive, in replication order,
-    and how many replications had none."""
-    pvals = np.array(config.model.cell_probabilities)
-    reps = config.replications
+# About 180 bytes of cells and interval temporaries per row: 1.5 MB a chunk.
+_SIM_CHUNK = 2**13
+
+
+def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The population index, then the estimate, se and covered flag of each
+    replication with a true positive, in replication order.
+
+    Replications are drawn and estimated one chunk at a time into one reused
+    cell buffer. A variance that overflows is nan, never inf (an infinite
+    numerator comes with t**4 = 0), so the first chunk that has one raises
+    the message a pass over every replication would."""
+    true_value = population_index(config.model, config.params)  # its error comes first
+    n, pvals, reps = config.n, np.array(config.model.cell_probabilities), config.replications
     bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     fresh = bit_generator.state
+    # Python lists, not arrays, so the state setter reads no numpy scalars
+    fresh["state"] = {name: value.tolist() for name, value in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     generator = np.random.Generator(bit_generator)
     try:
-        cells = np.empty((reps, 4), dtype=np.int64)
+        estimates, ses = np.empty(reps), np.empty(reps)
+        covered = np.empty(reps, dtype=bool)
     except MemoryError:
         raise InvalidParameterError(
-            f"replications={reps} needs at least {32 * reps} bytes of memory for the "
-            "drawn cells, more than can be allocated"
+            f"replications={reps} needs at least {17 * reps} bytes of memory for the "
+            "estimates, standard errors and coverage flags, more than can be allocated"
         ) from None
-    for i in range(reps):
-        key[1] = i
-        bit_generator.state = fresh
-        cells[i] = generator.multinomial(config.n, pvals)
-    cells = cells[cells[:, 0] > 0]
-    return cells, reps - len(cells)
+    cells = np.empty((min(_SIM_CHUNK, reps), 4), dtype=np.int64)
+    size = 0
+    for start in range(0, reps, _SIM_CHUNK):
+        block = cells[: min(_SIM_CHUNK, reps - start)]
+        for i in range(start, start + len(block)):
+            key[1] = i
+            bit_generator.state = fresh
+            block[i - start] = generator.multinomial(n, pvals)
+        estimate, se, lower, upper = _intervals(
+            block[block[:, 0] > 0], n, config.params, config.level
+        )
+        stop = size + estimate.size
+        estimates[size:stop], ses[size:stop] = estimate, se
+        covered[size:stop] = (lower <= true_value) & (true_value <= upper)
+        size = stop
+    return true_value, estimates[:size], ses[:size], covered[:size]
+
+
+def _std(values: np.ndarray, out: np.ndarray) -> float:
+    """values.std(ddof=1) to the bit, in numpy's own steps, with ``out`` (of
+    the same size, and values itself if values may be overwritten) as the
+    only temporary."""
+    size = values.size
+    np.subtract(values, np.add.reduce(values) / size, out=out)
+    np.multiply(out, out, out=out)
+    return float(np.sqrt(np.add.reduce(out) / (size - 1)))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
@@ -237,20 +271,20 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     the stream keyed (seed, i), and aggregation reads the kept
     replications in index order.
     """
-    true_value = population_index(config.model, config.params)
-    cells, degenerate_count = _draw(config)
-    if len(cells) == 0:
+    true_value, estimates, ses, covered = _draw(config)
+    if estimates.size == 0:
         raise DegenerateSampleError(
             f"all {config.replications} replications were degenerate (no true positives)"
         )
-    estimates, ses, lower, upper = _intervals(cells, config.n, config.params, config.level)
+    mean_se = float(ses.mean())
     return SimulationReport(
         true_value=true_value,
         mean_estimate=float(estimates.mean()),
-        sd_estimates=float(estimates.std(ddof=1)) if estimates.size >= 2 else 0.0,
-        mean_se=float(ses.mean()),
-        coverage=float(((lower <= true_value) & (true_value <= upper)).mean()),
-        degenerate_count=degenerate_count,
+        # the ses are spent, so their buffer holds the deviations
+        sd_estimates=_std(estimates, out=ses) if estimates.size >= 2 else 0.0,
+        mean_se=mean_se,
+        coverage=float(covered.mean()),
+        degenerate_count=config.replications - estimates.size,
         estimates=estimates,
     )
 
@@ -258,16 +292,15 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 def replication_estimates(config: SimulationConfig) -> np.ndarray:
     """Point estimates of the non-degenerate replications, in replication
     order; the same draws run_simulation aggregates."""
-    population_index(config.model, config.params)  # its error comes before any draw
-    cells, _ = _draw(config)
-    return _intervals(cells, config.n, config.params, config.level)[0]
+    return _draw(config)[1]
 
 
 # ---------------------------------------------------------------------------
 # bootstrap oracle
 # ---------------------------------------------------------------------------
 
-_BOOTSTRAP_CHUNK = 2**16
+# About 90 bytes of draws and temporaries per row: 0.7 MB a chunk.
+_BOOTSTRAP_CHUNK = 2**13
 
 
 def bootstrap_se(
@@ -282,8 +315,8 @@ def bootstrap_se(
     observed proportions and recomputes the index; the returned value is
     the standard deviation of the resampled indices. Resamples with no
     true positives are skipped; more than half of them degenerate is an
-    error. Resamples are drawn in chunks, so memory is the kept indices,
-    8 bytes per resample, plus one chunk.
+    error. Resamples are drawn in chunks and the std is taken in place, so
+    memory is the kept indices, 8 bytes per resample, plus one chunk.
     """
     if not isinstance(counts, ConfusionCounts):
         raise InvalidParameterError("counts must be a ConfusionCounts")
@@ -318,7 +351,8 @@ def bootstrap_se(
         raise DegenerateSampleError(
             f"{skipped} of {resamples} resamples were degenerate (no true positives)"
         )
-    return float(indices[:size].std(ddof=1))
+    kept = indices[:size]
+    return _std(kept, out=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +360,7 @@ def bootstrap_se(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HistogramSummary:
     """Equal-width bin counts plus moment diagnostics of a sample of
     estimates. Skewness and excess kurtosis are None where they are
@@ -337,6 +371,14 @@ class HistogramSummary:
     skewness: float | None
     excess_kurtosis: float | None
     n: int
+
+
+def _central_moment(values: np.ndarray, mean: float, k: int, out: np.ndarray) -> float:
+    """np.mean((values - mean)**k) to the bit, with ``out`` as the only
+    temporary: **= dispatches as ** does, in place."""
+    np.subtract(values, mean, out=out)
+    out **= k
+    return float(np.add.reduce(out) / values.size)
 
 
 def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
@@ -363,13 +405,13 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
             "counts and edges, more than can be allocated"
         ) from None
     skewness = excess_kurtosis = None
-    centered = values - values.mean()
-    m2 = float(np.mean(centered**2))
+    mean, buf = values.mean(), np.empty_like(values)
+    m2 = _central_moment(values, mean, 2, buf)
     # A constant sample has no spread, and one whose moments underflow
     # cannot be normalised; don't let rounding residue masquerade as moments.
     if values.min() < values.max() and m2**2 > 0.0:
-        skewness = float(np.mean(centered**3)) / m2**1.5
-        excess_kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
+        skewness = _central_moment(values, mean, 3, buf) / m2**1.5
+        excess_kurtosis = _central_moment(values, mean, 4, buf) / m2**2 - 3.0
     return HistogramSummary(
         counts=tuple(int(c) for c in counts),
         edges=tuple(float(e) for e in edges),

@@ -6,7 +6,15 @@ allocation fails at once and the tests allocate nothing.
 
 import pytest
 
-from tverskyci import ConfusionCounts, InvalidParameterError, TverskyParams, bootstrap_se
+from tverskyci import (
+    ConfusionCounts,
+    InvalidParameterError,
+    ScoreModel,
+    SimulationConfig,
+    TverskyParams,
+    bootstrap_se,
+    run_simulation,
+)
 from tverskyci.cli import main
 from tverskyci.simulation import histogram_summary
 
@@ -14,6 +22,14 @@ from tverskyci.simulation import histogram_summary
 def test_bootstrap_resamples_beyond_memory():
     with pytest.raises(InvalidParameterError, match=r"resamples=10{15} needs 8\d{15} bytes"):
         bootstrap_se(ConfusionCounts(3, 1, 1, 1), TverskyParams(0.5, 0.5), resamples=10**15)
+
+
+def test_replications_beyond_memory():
+    # an estimate, an se and a covered flag per replication: 8 + 8 + 1 bytes
+    config = SimulationConfig(ScoreModel(0.5, 2.5, 1.0), 5, 10**15, TverskyParams(0.5, 0.5))
+    message = r"replications=10{15} needs at least 17\d{15} bytes"
+    with pytest.raises(InvalidParameterError, match=message):
+        run_simulation(config)
 
 
 def test_histogram_bins_beyond_memory():

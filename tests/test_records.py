@@ -1,9 +1,12 @@
 """The six estimation and planning records are named tuples whose constructor
 checks its fields. These tests pin what the records promise: construction by
 position or keyword, no way round the checks through _make or _replace, no
-attribute assignment, pickle and copy round trips, and the error messages."""
+attribute assignment, pickle and copy round trips, and the error messages.
+The four simulation records are frozen dataclasses, and refuse attribute
+assignment with the same kind of error."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -16,6 +19,12 @@ from tverskyci import (
     SummaryStats,
     TverskyParams,
     VarianceBound,
+)
+from tverskyci.simulation import (
+    HistogramSummary,
+    ScoreModel,
+    SimulationConfig,
+    SimulationReport,
 )
 
 F05 = TverskyParams(0.8, 0.2)
@@ -94,6 +103,26 @@ def test_records_reject_attribute_assignment(cls, values):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert not hasattr(record, "__dict__")
+
+
+SIMULATION_RECORDS = [
+    ScoreModel(0.5, 2.5, 1.0),
+    SimulationConfig(ScoreModel(0.5, 2.5, 1.0), 1000, 10, F05),
+    SimulationReport(0.8, 0.8, 0.01, 0.01, 0.95, 0, estimates=None),
+    HistogramSummary((1, 1), (0.0, 0.5, 1.0), None, None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "record", SIMULATION_RECORDS, ids=[type(r).__name__ for r in SIMULATION_RECORDS]
+)
+def test_simulation_records_reject_attribute_assignment(record):
+    # FrozenInstanceError is an AttributeError, as the named tuples raise
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=IDS)

@@ -23,6 +23,7 @@ from tverskyci import (
     replication_estimates,
     run_simulation,
 )
+from tverskyci import simulation
 from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS
 
 F05 = TverskyParams(0.8, 0.2)
@@ -299,19 +300,37 @@ def test_report_carries_the_kept_estimates():
     assert hash(other) == hash(report)
 
 
-def test_run_simulation_memory_per_replication():
-    # About 113 B per replication: the kept cells (32 B) plus _intervals'
-    # exact tp/n rates, an object array of Python ints, their quotients as
-    # Python floats and a float64 copy (80 B). tracemalloc sees numpy's buffers.
-    config = dataclasses.replace(REFERENCE_CONFIG, replications=20_000)
+def _traced(call):
+    """call()'s result and the peak bytes tracemalloc saw during it;
+    tracemalloc sees numpy's buffers."""
     tracemalloc.start()
     try:
-        report = run_simulation(config)
-        _, peak = tracemalloc.get_traced_memory()
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_run_simulation_memory_per_replication(monkeypatch):
+    # The report needs 17 B per replication: each kept estimate and se and
+    # its covered flag. The rest is one chunk's cells and interval
+    # temporaries, about 180 B a row; a small chunk keeps that budget small
+    # beside the per-replication term. numpy's per-draw allocations make the
+    # loop about ten times slower traced, so 60k replications take a second.
+    monkeypatch.setattr(simulation, "_SIM_CHUNK", 2**10)
+    run_simulation(dataclasses.replace(REFERENCE_CONFIG, replications=10))  # lazy set-up
+    config = dataclasses.replace(REFERENCE_CONFIG, replications=60_000)
+    report, peak = _traced(lambda: run_simulation(config))
     assert report.estimates.size == config.replications
-    assert peak < 130 * config.replications
+    assert peak < 20 * config.replications + 256 * simulation._SIM_CHUNK
+
+
+def test_bootstrap_se_memory_per_resample():
+    # The kept indices, 8 B per resample, whose std is taken in place, plus
+    # one chunk's draws and temporaries, about 90 B a row.
+    counts, resamples = ConfusionCounts(300, 60, 40, 600), 300_000
+    bootstrap_se(counts, F05, resamples=100)  # lazy set-up
+    _, peak = _traced(lambda: bootstrap_se(counts, F05, resamples=resamples))
+    assert peak < 9 * resamples + 2**20
 
 
 def test_sizes_beyond_int64_are_parameter_errors():

@@ -27,6 +27,7 @@ from tverskyci import (
     run_simulation,
 )
 from tverskyci.estimation import _variance_kernel
+from tverskyci import simulation
 from tverskyci.simulation import _intervals
 from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS
 
@@ -181,6 +182,40 @@ def _bootstrap_oracle(counts, params, resamples, seed):
 def test_chunked_bootstrap_matches_single_draw(counts, resamples, seed):
     got = bootstrap_se(counts, F05, resamples=resamples, seed=seed)
     assert got.hex() == _bootstrap_oracle(counts, F05, resamples, seed).hex()
+
+
+def _chunked_results():
+    """Every simulation and bootstrap result whose bits must not depend on
+    the chunk sizes, as hex strings and bytes."""
+    results = []
+    for config in (
+        _config(50, 9000, seed=1),  # more than one default chunk
+        _config(5, 300, model=ScoreModel(0.1, 2.0, 1.0), seed=3),  # half degenerate
+    ):
+        report = run_simulation(config)
+        fields = (report.true_value, report.mean_estimate, report.sd_estimates,
+                  report.mean_se, report.coverage)
+        results += [x.hex() for x in fields]
+        results += [report.degenerate_count, report.estimates.tobytes(),
+                    replication_estimates(config).tobytes()]
+    # replication 82 is the first whose index is so near 0 that its variance
+    # overflows: its chunk must raise what a pass over all of them would
+    overflow = _config(30, 500, params=TverskyParams(1e154, 1.0),
+                       model=ScoreModel(0.5, 1.0, 1.0), seed=6)
+    with pytest.raises(InvalidParameterError, match="the variance is nan") as raised:
+        run_simulation(overflow)
+    results.append(str(raised.value))
+    for counts in (ConfusionCounts(300, 60, 40, 600), ConfusionCounts(3, 1, 1, 1)):
+        results.append(bootstrap_se(counts, F05, resamples=20_001, seed=5).hex())
+    return results
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**16])
+def test_chunk_sizes_change_no_bit(monkeypatch, chunk):
+    want = _chunked_results()
+    monkeypatch.setattr(simulation, "_SIM_CHUNK", chunk)
+    monkeypatch.setattr(simulation, "_BOOTSTRAP_CHUNK", chunk)
+    assert _chunked_results() == want
 
 
 def test_vectorized_tiny_index_matches_scalar_bitwise():
