@@ -3,39 +3,14 @@ for F-beta scores and Tversky indices, with a Monte Carlo harness that
 verifies the formulas against simulation and against the bootstrap.
 """
 
-from .errors import (
-    DataError,
-    DegenerateSampleError,
-    InvalidParameterError,
-    TverskyCIError,
-    UsageError,
-)
-from .estimation import (
-    ConfusionCounts,
-    EstimateReport,
-    SummaryStats,
-    TverskyParams,
-    asymptotic_variance,
-    confidence_interval,
-    fbeta_to_tversky,
-    normal_cdf,
-    normal_quantile,
-    precision,
-    recall,
-    summarize,
-    tversky_index,
-    weighted_error_ratio,
-)
-from .ingest import ingest
-from .planning import (
-    PlanResult,
-    VarianceBound,
-    bound_table,
-    planning_bound,
-    required_events,
-    required_total,
-    variance_bound,
-)
+# Each module lists its public names once, in its __all__. The ingest module
+# is bound to a private name, as its wildcard import rebinds ``ingest``.
+from . import errors, estimation, planning
+from . import ingest as _ingest
+from .errors import *
+from .estimation import *
+from .ingest import *
+from .planning import *
 
 __version__ = "0.1.0"
 
@@ -53,36 +28,9 @@ _SIMULATION_NAMES = {
     "run_simulation",
 }
 
-__all__ = sorted([
-    "ConfusionCounts",
-    "DataError",
-    "DegenerateSampleError",
-    "EstimateReport",
-    "InvalidParameterError",
-    "PlanResult",
-    "SummaryStats",
-    "TverskyCIError",
-    "TverskyParams",
-    "UsageError",
-    "VarianceBound",
-    "asymptotic_variance",
-    "bound_table",
-    "confidence_interval",
-    "fbeta_to_tversky",
-    "ingest",
-    "normal_cdf",
-    "normal_quantile",
-    "planning_bound",
-    "precision",
-    "recall",
-    "required_events",
-    "required_total",
-    "summarize",
-    "tversky_index",
-    "variance_bound",
-    "weighted_error_ratio",
-    *_SIMULATION_NAMES,
-])
+__all__ = sorted(
+    [*errors.__all__, *estimation.__all__, *_ingest.__all__, *planning.__all__, *_SIMULATION_NAMES]
+)
 
 
 def __getattr__(name: str) -> object:

@@ -8,6 +8,14 @@ returns for it in ``exit_code``: 1 usage, 2 data, 3 degenerate sample,
 
 from __future__ import annotations
 
+__all__ = [
+    "TverskyCIError",
+    "InvalidParameterError",
+    "DegenerateSampleError",
+    "DataError",
+    "UsageError",
+]
+
 
 class TverskyCIError(Exception):
     """Base class for all errors raised by this package."""

@@ -83,10 +83,21 @@ def _require_count(value: object, name: str) -> int:
     return out
 
 
-def _require_positive(value: object, name: str) -> float:
-    if not isinstance(value, _REAL):
+def _require_real(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, _REAL):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    out = float(value)
+    return float(value)
+
+
+def _require_finite(value: object, name: str) -> float:
+    out = _require_real(value, name)
+    if not math.isfinite(out):
+        raise InvalidParameterError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def _require_positive(value: object, name: str) -> float:
+    out = _require_real(value, name)
     if not math.isfinite(out) or out <= 0.0:
         raise InvalidParameterError(f"{name} must be finite and > 0, got {out}")
     return out
@@ -101,9 +112,7 @@ def _require_float_range(n: int) -> int:
 
 
 def _require_open_unit(value: object, name: str) -> float:
-    if not isinstance(value, _REAL):
-        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    out = float(value)
+    out = _require_real(value, name)
     if not (0.0 < out < 1.0):
         raise InvalidParameterError(f"{name} must lie in (0, 1), got {out}")
     return out
@@ -215,11 +224,11 @@ class SummaryStats(_record("n tp_rate tversky tversky_sq")):
         n = _require_count(n, "n")
         if n < 1:
             raise InvalidParameterError("n must be >= 1")
-        fields = [_require_float_range(n), float(tp_rate)]
-        if not (0.0 <= fields[1] <= 1.0) or not math.isfinite(fields[1]):
+        fields = [_require_float_range(n), _require_real(tp_rate, "tp_rate")]
+        if not (0.0 <= fields[1] <= 1.0):  # nan fails it too
             raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {tp_rate!r}")
         for name, value in (("tversky", tversky), ("tversky_sq", tversky_sq)):
-            value = float(value)
+            value = _require_real(value, name)
             if not (0.0 < value <= 1.0):
                 raise InvalidParameterError(f"{name} must lie in (0, 1], got {value!r}")
             fields.append(value)
@@ -325,12 +334,14 @@ def _index_and_variance(data: object, params: TverskyParams) -> tuple[float, flo
         r2 = _error_ratio(data.tp, data.fn, data.fp, params.squared())
         t = 1.0 / (1.0 + r1)
         tp_rate = data.tp / _require_float_range(data.n)
-        return t, _finite_variance(_variance_kernel(r1, r2, t, tp_rate))
-    if isinstance(data, SummaryStats):
-        return data.tversky, _summary_variance(data, params)
-    raise InvalidParameterError(
-        f"expected ConfusionCounts or SummaryStats, got {type(data).__name__}"
-    )
+    elif isinstance(data, SummaryStats):
+        r1, r2 = _consistent_ratios(data, params)
+        t, tp_rate = data.tversky, data.tp_rate
+    else:
+        raise InvalidParameterError(
+            f"expected ConfusionCounts or SummaryStats, got {type(data).__name__}"
+        )
+    return t, _finite_variance(_variance_kernel(r1, r2, t, tp_rate))
 
 
 def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyParams) -> float:
@@ -377,12 +388,6 @@ def _finite_variance(variance: float) -> float:
             "close to 0 for floating point"
         )
     return variance
-
-
-def _summary_variance(stats: SummaryStats, params: TverskyParams) -> float:
-    """asymptotic_variance of summary input, after the consistency checks."""
-    r1, r2 = _consistent_ratios(stats, params)
-    return _finite_variance(_variance_kernel(r1, r2, stats.tversky, stats.tp_rate))
 
 
 def _consistent_ratios(stats: SummaryStats, params: TverskyParams) -> tuple[float, float]:
@@ -454,9 +459,7 @@ def confidence_interval(
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc, accurate to machine precision."""
-    if not math.isfinite(x):
-        raise InvalidParameterError(f"x must be finite, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * math.erfc(-_require_finite(x, "x") / _SQRT2)
 
 
 def normal_quantile(p: float) -> float:
@@ -466,13 +469,7 @@ def normal_quantile(p: float) -> float:
     Against mpmath at 360 digits it stays within 2.8 * eps * |x| on the
     999 levels k/1000, near p = 0.5, and in the tails down to p = 1e-300.
     """
-    if isinstance(p, bool) or not isinstance(p, _REAL):
-        raise InvalidParameterError(f"p must be a number, got {p!r}")
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError(f"p must lie in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
+    p = _require_open_unit(p, "p")
     from statistics import NormalDist  # not at the top: it costs ~4 ms to import
 
     return NormalDist().inv_cdf(p)

@@ -36,7 +36,7 @@ import os
 from collections.abc import Iterator
 
 from .errors import DataError, InvalidParameterError
-from .estimation import ConfusionCounts
+from .estimation import ConfusionCounts, _require_finite
 
 __all__ = ["ingest"]
 
@@ -68,13 +68,6 @@ def _parse_score(raw: object, where: str) -> float:
     return value
 
 
-def _prediction(raw: object, resolved: str, threshold: float, where: str) -> int:
-    # The one place a value column becomes a prediction.
-    if resolved == "prediction":
-        return _parse_binary(raw, "a", where)
-    return 1 if _parse_score(raw, where) > threshold else 0
-
-
 def _resolve_mode(requested: str, value_column: str, path: str) -> str:
     found = "prediction" if value_column == "a" else "score"
     if requested != "auto" and requested != found:
@@ -94,9 +87,7 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     """
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise InvalidParameterError(f"threshold must be finite, got {threshold!r}")
+    threshold = _require_finite(threshold, "threshold")
     try:
         cells = _count_file(path, mode, threshold, split=True)
         if cells is None:  # a range failed: one process finds its first bad line
@@ -271,4 +262,9 @@ def _count_record(
     z: object, value: object, resolved: str, threshold: float, where: str, cells: list
 ) -> None:
     z = _parse_binary(z, "z", where)
-    cells[3 - 2 * z - _prediction(value, resolved, threshold, where)] += 1
+    # The one place a value column becomes a prediction.
+    if resolved == "prediction":
+        a = _parse_binary(value, "a", where)
+    else:
+        a = _parse_score(value, where) > threshold
+    cells[3 - 2 * z - a] += 1

@@ -168,13 +168,6 @@ def required_total(delta: float, params: TverskyParams, prevalence: float) -> Pl
     prevalence = _require_positive(prevalence, "prevalence")
     if prevalence > 1.0:
         raise InvalidParameterError(f"prevalence must lie in (0, 1], got {prevalence}")
-    bound = planning_bound(params)
     # The total first: its divisor is the smaller, so an error names prevalence.
-    total = _ceil_snapped(bound, delta, params, prevalence)
-    return PlanResult(
-        required_events=_ceil_snapped(bound, delta, params),
-        required_total=total,
-        target_se=delta,
-        params=params,
-        prevalence=prevalence,
-    )
+    total = _ceil_snapped(planning_bound(params), delta, params, prevalence)
+    return required_events(delta, params)._replace(required_total=total, prevalence=prevalence)

@@ -40,6 +40,7 @@ from .estimation import (
     _error_ratio,
     _finite_variance,
     _require_count,
+    _require_finite,
     _require_open_unit,
     _variance_kernel,
     normal_cdf,
@@ -84,10 +85,7 @@ class ScoreModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prevalence", _require_open_unit(self.prevalence, "prevalence"))
         for name in ("shift", "threshold"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
 
     @property
     def cell_probabilities(self) -> tuple[float, float, float, float]:
@@ -105,26 +103,29 @@ class ScoreModel:
         )
 
 
+def _positive_cells(model: ScoreModel) -> tuple[float, float, float]:
+    """The model's (tp, fn, fp) probabilities, which must give true positives."""
+    p_tp, p_fn, p_fp, _ = model.cell_probabilities
+    if p_tp <= 0.0:
+        raise DegenerateSampleError("model gives zero true-positive probability")
+    return p_tp, p_fn, p_fp
+
+
 def population_index(model: ScoreModel, params: TverskyParams) -> float:
     """Population Tversky index implied by the model's cell probabilities.
 
     Closed form, so simulation baselines carry no sampling error of their
     own.
     """
-    p_tp, p_fn, p_fp, _ = model.cell_probabilities
-    if p_tp <= 0.0:
-        raise DegenerateSampleError("model gives zero true-positive probability")
-    return 1.0 / (1.0 + _error_ratio(p_tp, p_fn, p_fp, params))
+    return 1.0 / (1.0 + _error_ratio(*_positive_cells(model), params))
 
 
 def population_variance(model: ScoreModel, params: TverskyParams) -> float:
     """Population per-observation variance implied by the model."""
-    p_tp, p_fn, p_fp, _ = model.cell_probabilities
-    if p_tp <= 0.0:
-        raise DegenerateSampleError("model gives zero true-positive probability")
-    r1 = _error_ratio(p_tp, p_fn, p_fp, params)
-    r2 = _error_ratio(p_tp, p_fn, p_fp, params.squared())
-    return _finite_variance(_variance_kernel(r1, r2, 1.0 / (1.0 + r1), p_tp))
+    cells = _positive_cells(model)
+    r1 = _error_ratio(*cells, params)
+    r2 = _error_ratio(*cells, params.squared())
+    return _finite_variance(_variance_kernel(r1, r2, 1.0 / (1.0 + r1), cells[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +255,15 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.n
     return true_value, estimates[:size], ses[:size], covered[:size]
 
 
-def _std(values: np.ndarray, out: np.ndarray) -> float:
-    """values.std(ddof=1) to the bit, in numpy's own steps, with ``out`` (of
-    the same size, and values itself if values may be overwritten) as the
-    only temporary."""
-    size = values.size
-    np.subtract(values, np.add.reduce(values) / size, out=out)
-    np.multiply(out, out, out=out)
-    return float(np.sqrt(np.add.reduce(out) / (size - 1)))
+def _moment(values: np.ndarray, k: int, out: np.ndarray, ddof: int = 0) -> float:
+    """sum((values - values.mean())**k) / (size - ddof) in numpy's own steps:
+    the bits of values.var(ddof=ddof) for k = 2, and of
+    np.mean((values - values.mean())**k) for ddof = 0. ``out``, of the same
+    size (values itself if values may be overwritten), is the only
+    temporary: **= dispatches as ** does."""
+    np.subtract(values, np.add.reduce(values) / values.size, out=out)
+    out **= k
+    return float(np.add.reduce(out) / (values.size - ddof))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
@@ -277,11 +279,12 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             f"all {config.replications} replications were degenerate (no true positives)"
         )
     mean_se = float(ses.mean())
+    # the ses are spent, so their buffer holds the deviations
+    sd = math.sqrt(_moment(estimates, 2, ses, ddof=1)) if estimates.size >= 2 else 0.0
     return SimulationReport(
         true_value=true_value,
         mean_estimate=float(estimates.mean()),
-        # the ses are spent, so their buffer holds the deviations
-        sd_estimates=_std(estimates, out=ses) if estimates.size >= 2 else 0.0,
+        sd_estimates=sd,
         mean_se=mean_se,
         coverage=float(covered.mean()),
         degenerate_count=config.replications - estimates.size,
@@ -352,7 +355,7 @@ def bootstrap_se(
             f"{skipped} of {resamples} resamples were degenerate (no true positives)"
         )
     kept = indices[:size]
-    return _std(kept, out=kept)
+    return math.sqrt(_moment(kept, 2, kept, ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +376,6 @@ class HistogramSummary:
     n: int
 
 
-def _central_moment(values: np.ndarray, mean: float, k: int, out: np.ndarray) -> float:
-    """np.mean((values - mean)**k) to the bit, with ``out`` as the only
-    temporary: **= dispatches as ** does, in place."""
-    np.subtract(values, mean, out=out)
-    out **= k
-    return float(np.add.reduce(out) / values.size)
-
-
 def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     """Bin the estimates over [min, max] and report shape diagnostics.
 
@@ -390,7 +385,10 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     bins = _require_count(bins, "bins")
     if bins < 1:
         raise InvalidParameterError("bins must be >= 1")
-    values = np.asarray(estimates, dtype=float)
+    try:
+        values = np.asarray(estimates, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError("estimates must be numbers") from None
     if values.ndim != 1:
         values = values.ravel()
     if values.size < 2:
@@ -405,13 +403,13 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
             "counts and edges, more than can be allocated"
         ) from None
     skewness = excess_kurtosis = None
-    mean, buf = values.mean(), np.empty_like(values)
-    m2 = _central_moment(values, mean, 2, buf)
+    buf = np.empty_like(values)
+    m2 = _moment(values, 2, buf)
     # A constant sample has no spread, and one whose moments underflow
     # cannot be normalised; don't let rounding residue masquerade as moments.
     if values.min() < values.max() and m2**2 > 0.0:
-        skewness = _central_moment(values, mean, 3, buf) / m2**1.5
-        excess_kurtosis = _central_moment(values, mean, 4, buf) / m2**2 - 3.0
+        skewness = _moment(values, 3, buf) / m2**1.5
+        excess_kurtosis = _moment(values, 4, buf) / m2**2 - 3.0
     return HistogramSummary(
         counts=tuple(int(c) for c in counts),
         edges=tuple(float(e) for e in edges),

@@ -21,13 +21,18 @@ from tverskyci import (
     fbeta_to_tversky,
     normal_cdf,
     normal_quantile,
+    histogram_summary,
+    ingest,
     precision,
     recall,
+    required_events,
+    required_total,
     summarize,
     tversky_index,
     variance_bound,
     weighted_error_ratio,
 )
+from tverskyci.simulation import ScoreModel, SimulationConfig
 
 F05 = TverskyParams(0.8, 0.2)
 F1 = TverskyParams(0.5, 0.5)
@@ -495,3 +500,42 @@ def test_validators_still_reject_bools():
         normal_quantile(True)
     with pytest.raises(InvalidParameterError, match="must be a number"):
         TverskyParams("0.5", 0.5)
+
+
+# Every public numeric argument, called with one bad value, and the message
+# it must raise. numbers.Real minus bool is the one accepted type.
+_NUMBER = "must be a number"
+_NUMERIC_ARGUMENTS = {
+    "TverskyParams.fp_weight": (lambda x: TverskyParams(x, 0.5), _NUMBER),
+    "TverskyParams.fn_weight": (lambda x: TverskyParams(0.5, x), _NUMBER),
+    "fbeta_to_tversky": (fbeta_to_tversky, _NUMBER),
+    "SummaryStats.tp_rate": (lambda x: SummaryStats(10, x, 0.5, 0.5), _NUMBER),
+    "SummaryStats.tversky": (lambda x: SummaryStats(10, 0.5, x, 0.5), _NUMBER),
+    "SummaryStats.tversky_sq": (lambda x: SummaryStats(10, 0.5, 0.5, x), _NUMBER),
+    "ScoreModel.prevalence": (lambda x: ScoreModel(x, 2.5, 1.0), _NUMBER),
+    "ScoreModel.shift": (lambda x: ScoreModel(0.5, x, 1.0), _NUMBER),
+    "ScoreModel.threshold": (lambda x: ScoreModel(0.5, 2.5, x), _NUMBER),
+    "SimulationConfig.level": (
+        lambda x: SimulationConfig(ScoreModel(0.5, 2.5, 1.0), 10, 10, F1, level=x),
+        _NUMBER,
+    ),
+    "confidence_interval.level": (
+        lambda x: confidence_interval(ConfusionCounts(3, 1, 1, 5), F1, level=x),
+        _NUMBER,
+    ),
+    "normal_cdf": (normal_cdf, _NUMBER),
+    "normal_quantile": (normal_quantile, _NUMBER),
+    "required_events.delta": (lambda x: required_events(x, F1), _NUMBER),
+    "required_total.prevalence": (lambda x: required_total(0.01, F1, x), _NUMBER),
+    "ingest.threshold": (lambda x: ingest("records.csv", threshold=x), _NUMBER),
+    "histogram_summary": (lambda x: histogram_summary(["a", x]), "estimates must be numbers"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None], ids=repr)
+@pytest.mark.parametrize(
+    "call, message", _NUMERIC_ARGUMENTS.values(), ids=list(_NUMERIC_ARGUMENTS)
+)
+def test_numeric_arguments_raise_typed_errors(call, message, bad):
+    with pytest.raises(InvalidParameterError, match=message):
+        call(bad)

@@ -135,3 +135,55 @@ def test_every_exported_name_resolves():
         "print(missing == [], 'numpy' in sys.modules)\n"
     )
     assert _python(code) == ["False", "True", "True"]
+
+
+def test_the_lazy_simulation_names_are_the_simulation_modules_list():
+    # The one public-name list written twice: numpy loads with the module.
+    import tverskyci
+    from tverskyci import simulation
+
+    assert tverskyci._SIMULATION_NAMES == set(simulation.__all__)
+
+
+def test_the_public_api_is_unchanged():
+    import tverskyci
+
+    assert tverskyci.__all__ == [
+        "ConfusionCounts",
+        "DataError",
+        "DegenerateSampleError",
+        "EstimateReport",
+        "HistogramSummary",
+        "InvalidParameterError",
+        "PlanResult",
+        "ScoreModel",
+        "SimulationConfig",
+        "SimulationReport",
+        "SummaryStats",
+        "TverskyCIError",
+        "TverskyParams",
+        "UsageError",
+        "VarianceBound",
+        "asymptotic_variance",
+        "bootstrap_se",
+        "bound_table",
+        "confidence_interval",
+        "fbeta_to_tversky",
+        "histogram_summary",
+        "ingest",
+        "normal_cdf",
+        "normal_quantile",
+        "planning_bound",
+        "population_index",
+        "population_variance",
+        "precision",
+        "recall",
+        "replication_estimates",
+        "required_events",
+        "required_total",
+        "run_simulation",
+        "summarize",
+        "tversky_index",
+        "variance_bound",
+        "weighted_error_ratio",
+    ]

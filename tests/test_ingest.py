@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import io
 import json
 import os
 import random
@@ -22,6 +23,7 @@ from tverskyci import (
     ingest,
     tversky_index,
 )
+from tverskyci.cli import main
 
 from tests._reference import reference_ingest
 
@@ -297,6 +299,27 @@ def test_ingest_round_trip_property(tmp_path_factory, case):
     assert ingest(str(path), threshold=_THRESHOLD) == expected
     with _split() as (_, counts):
         assert ingest(str(path), threshold=_THRESHOLD) == expected
+    assert counts == [True]  # the ranges counted it: no serial rerun
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+@settings(deadline=None, max_examples=60)
+@given(_record_files())
+def test_ci_of_a_file_prints_what_ci_of_its_counts_prints(tmp_path_factory, case):
+    raw, cells = case
+    path = tmp_path_factory.mktemp("records") / "records.txt"
+    path.write_bytes(raw)
+    argv = ("ci", "--threshold", repr(_THRESHOLD), "--format", "json")
+    expected = _cli(*argv, "--counts", ",".join(map(str, cells)))
+    assert _cli(*argv, "--input", str(path)) == expected
+    with _split() as (_, counts):
+        assert _cli(*argv, "--input", str(path)) == expected
     assert counts == [True]  # the ranges counted it: no serial rerun
 
 
