@@ -10,12 +10,12 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Sequence
 
 from .errors import TverskyCIError, UsageError
 from .estimation import (
+    MODES,
     ConfusionCounts,
     SummaryStats,
     TverskyParams,
@@ -26,8 +26,6 @@ from .estimation import (
     recall,
     tversky_index,
 )
-from .ingest import MODES, ingest
-from .planning import bound_table, planning_bound, required_events, required_total
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,6 +170,8 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
     if getattr(args, "summary", None) is not None:
         return SummaryStats(*args.summary)
     if args.input is not None:
+        from .ingest import ingest
+
         return ingest(args.input, mode=args.mode, threshold=args.threshold)
     if args.counts is not None:
         return ConfusionCounts(*args.counts)
@@ -259,6 +259,8 @@ def _cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+    from .planning import planning_bound, required_events, required_total
+
     params = _resolve_params(args)
     if args.ez is not None:
         plan = required_total(args.delta, params, args.ez)
@@ -279,6 +281,8 @@ def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
 
 
 def _cmd_bound_table(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+    from .planning import bound_table
+
     rows = bound_table()
     payload = {
         "command": "bound-table",
@@ -389,6 +393,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))

@@ -67,6 +67,9 @@ _SQRT2 = math.sqrt(2.0)
 # first because isinstance stops at them before the slower ABC check.
 _INTEGRAL = (int, numbers.Integral)
 _REAL = (float, int, numbers.Real)
+# The record-file modes of ingest, here so the CLI can offer them without
+# loading ingest.
+MODES = ("auto", "prediction", "score")
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,10 @@ def _require_count(value: object, name: str) -> int:
 def _require_real(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, _REAL):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range; the caller's range check names it
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_finite(value: object, name: str) -> float:
@@ -226,7 +232,7 @@ class SummaryStats(_record("n tp_rate tversky tversky_sq")):
             raise InvalidParameterError("n must be >= 1")
         fields = [_require_float_range(n), _require_real(tp_rate, "tp_rate")]
         if not (0.0 <= fields[1] <= 1.0):  # nan fails it too
-            raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {tp_rate!r}")
+            raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {fields[1]!r}")
         for name, value in (("tversky", tversky), ("tversky_sq", tversky_sq)):
             value = _require_real(value, name)
             if not (0.0 < value <= 1.0):

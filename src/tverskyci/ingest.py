@@ -30,18 +30,31 @@ but still counted.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import DataError, InvalidParameterError
-from .estimation import ConfusionCounts, _require_finite
+from .estimation import MODES, ConfusionCounts, _require_finite
 
 __all__ = ["ingest"]
 
-MODES = ("auto", "prediction", "score")
 _MIN_RANGE = 1 << 20  # bytes; a file is split only into ranges at least this long
+_QUOTED = 64  # characters of a bad value that an error message quotes
+
+
+def _quote(raw: object) -> str:
+    """repr(raw), cut for a value longer than _QUOTED characters (a string,
+    or else its repr) to that many and followed by the length, so that a
+    huge field cannot make a huge error message."""
+    if isinstance(raw, str):
+        if len(raw) <= _QUOTED:
+            return repr(raw)
+        return f"{raw[:_QUOTED]!r}... ({len(raw)} characters)"
+    text = repr(raw)
+    if len(text) <= _QUOTED:
+        return text
+    return f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
 def _parse_binary(raw: object, column: str, where: str) -> int:
@@ -51,7 +64,7 @@ def _parse_binary(raw: object, column: str, where: str) -> int:
             return int(raw)
     elif isinstance(raw, int) and not isinstance(raw, bool) and raw in (0, 1):
         return raw
-    raise DataError(f"{where}: column {column!r} must be exactly 0 or 1, got {raw!r}")
+    raise DataError(f"{where}: column {column!r} must be exactly 0 or 1, got {_quote(raw)}")
 
 
 def _parse_score(raw: object, where: str) -> float:
@@ -62,9 +75,9 @@ def _parse_score(raw: object, where: str) -> float:
     except OverflowError:  # a JSON integer beyond the float range
         value = math.inf
     except (TypeError, ValueError):
-        raise DataError(f"{where}: column 'score' must be a number, got {raw!r}") from None
+        raise DataError(f"{where}: column 'score' must be a number, got {_quote(raw)}") from None
     if isinstance(raw, bool) or not math.isfinite(value):
-        raise DataError(f"{where}: column 'score' must be a finite number, got {raw!r}")
+        raise DataError(f"{where}: column 'score' must be a finite number, got {_quote(raw)}")
     return value
 
 
@@ -117,8 +130,11 @@ def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | N
             raise DataError(f"{path}: file is empty")
         if first[1].startswith("{"):
             # The first record fixes the mode every other record must have.
+            # json is loaded for JSON lines only.
+            from json import loads
+
             count = _count_jsonl
-            where, record, value_key = _json_record(*first, path)
+            where, record, value_key = _json_record(*first, path, loads)
             mode = _resolve_mode(mode, value_key, path)
             _count_record(record["z"], record[value_key], mode, threshold, where, cells)
         else:
@@ -226,20 +242,25 @@ def _count_jsonl(
 ) -> None:
     """Count the JSON lines of lines, which follow the record first, into
     cells; each must be in the mode resolved from first."""
+    from json import loads
+
     for line_no, line in enumerate(lines, first[0] + 1):
         line = line.strip()
         if line:
-            where, record, value_key = _json_record(line_no, line, path)
+            where, record, value_key = _json_record(line_no, line, path, loads)
             if ("prediction" if value_key == "a" else "score") != resolved:
                 raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
             _count_record(record["z"], record[value_key], resolved, threshold, where, cells)
 
 
-def _json_record(line_no: int, line: str, path: str) -> tuple[str, dict, str]:
-    """Where line is, its JSON record and the record's value key."""
+def _json_record(
+    line_no: int, line: str, path: str, loads: Callable[[str], object]
+) -> tuple[str, dict, str]:
+    """Where line is, its JSON record as decoded by loads (json.loads) and
+    the record's value key."""
     where = f"{path}:{line_no}"
     try:
-        record = json.loads(line)
+        record = loads(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         reason = getattr(exc, "msg", str(exc).partition(";")[0])
         raise DataError(f"{where}: invalid JSON: {reason}") from None

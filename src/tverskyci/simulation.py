@@ -29,6 +29,7 @@ standard error, not an alternative product feature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,7 +396,18 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
         raise InvalidParameterError("need at least 2 estimates to summarize")
     if not np.all(np.isfinite(values)):
         raise InvalidParameterError("estimates must all be finite")
+    lo, hi = float(values.min()), float(values.max())
     try:
+        if 16 * bins > sys.maxsize:  # numpy rejects such a size without trying to allocate it
+            raise MemoryError
+        # np.histogram widens a constant sample by 0.5 each way and needs bins
+        # finite-width bins between the edges, or it raises a bare ValueError.
+        edges = np.linspace(*((lo, hi) if lo < hi else (lo - 0.5, hi + 0.5)), bins + 1)
+        if np.any(edges[:-1] >= edges[1:]):
+            raise InvalidParameterError(
+                f"estimates in [{lo!r}, {hi!r}] are too close together for {bins} "
+                "finite-width bins"
+            )
         counts, edges = np.histogram(values, bins=bins)
     except MemoryError:
         raise InvalidParameterError(
@@ -407,7 +419,7 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     m2 = _moment(values, 2, buf)
     # A constant sample has no spread, and one whose moments underflow
     # cannot be normalised; don't let rounding residue masquerade as moments.
-    if values.min() < values.max() and m2**2 > 0.0:
+    if lo < hi and m2**2 > 0.0:
         skewness = _moment(values, 3, buf) / m2**1.5
         excess_kurtosis = _moment(values, 4, buf) / m2**2 - 3.0
     return HistogramSummary(

@@ -539,3 +539,25 @@ _NUMERIC_ARGUMENTS = {
 def test_numeric_arguments_raise_typed_errors(call, message, bad):
     with pytest.raises(InvalidParameterError, match=message):
         call(bad)
+
+
+# An int past the float range is an infinite value: each helper gives the
+# range message it gives for inf, not float()'s bare OverflowError.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TverskyParams(_HUGE, 1.0), "fp_weight must be finite and > 0, got inf"),
+        (lambda: TverskyParams(1.0, -_HUGE), "fn_weight must be finite and > 0, got -inf"),
+        (lambda: normal_cdf(-_HUGE), "x must be finite, got -inf"),
+        (lambda: normal_quantile(Fraction(_HUGE)), r"p must lie in \(0, 1\), got inf"),
+        (lambda: SummaryStats(10, -_HUGE, 0.5, 0.5), r"tp_rate must lie in \[0, 1\], got -inf$"),
+        (lambda: required_events(_HUGE, F1), "delta must be finite and > 0, got inf"),
+    ],
+    ids=["fp_weight", "fn_weight", "normal_cdf", "normal_quantile", "tp_rate", "delta"],
+)
+def test_ints_past_the_float_range_raise_the_range_error(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()

@@ -1,12 +1,14 @@
-"""numpy is loaded only by simulate, bootstrap-check and the simulation API,
-statistics only by commands that need a normal quantile, and no module for
-running other processes, nor dataclasses and the inspect module it loads, by
-any short command.
+"""Each short command loads only the package modules it runs, and json only
+for JSON; numpy is loaded only by simulate, bootstrap-check and the
+simulation API, statistics only by commands that need a normal quantile, and
+no module for running other processes, nor dataclasses and the inspect
+module it loads, by any short command.
 
 Each case runs in a fresh interpreter, because a module stays in sys.modules
 once any test in this process has imported it.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -37,6 +39,54 @@ def _python(code, *args, cwd=None):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+# The package modules and json that each short command loads. Every one
+# loads the package, the CLI, errors and estimation.
+_CLI = {"tverskyci", "tverskyci.cli", "tverskyci.errors", "tverskyci.estimation"}
+_LOADS = {
+    ("--help",): set(),
+    ("ci", "--counts", "300,60,40,600"): set(),
+    ("ci", "--counts", "300,60,40,600", "--format", "json"): {"json"},
+    ("ci", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5"): set(),
+    ("ci", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5", "--format", "json"): {"json"},
+    ("ci", "--input", "records.csv"): {"tverskyci.ingest"},
+    ("ci", "--input", "records.jsonl"): {"tverskyci.ingest", "json"},
+    ("estimate", "--counts", "30,20,10,40"): set(),
+    ("estimate", "--counts", "30,20,10,40", "--format", "json"): {"json"},
+    ("plan", "--delta", "0.02", "--ez", "0.3"): {"tverskyci.planning"},
+    ("plan", "--delta", "0.02", "--format", "json"): {"tverskyci.planning", "json"},
+    ("bound-table",): {"tverskyci.planning"},
+}
+
+
+@pytest.mark.parametrize("argv", _LOADS, ids=" ".join)
+def test_each_short_command_loads_only_the_modules_it_runs(tmp_path, argv):
+    (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
+    (tmp_path / "records.jsonl").write_text('{"z": 1, "a": 1}\n{"z": 0, "a": 0}\n')
+    loaded = "*sorted(m for m in sys.modules if m == 'json' or m.startswith('tverskyci'))"
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', loaded)
+    assert _python(code, *argv, cwd=tmp_path) == ["0", *sorted(_CLI | _LOADS[argv])]
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        "import tverskyci",
+        "importlib.import_module('tverskyci.ingest')",
+        "from tverskyci.cli import main; main(['ci', '--input', 'records.csv'])",
+    ],
+)
+def test_the_package_name_ingest_is_always_the_function(tmp_path, load):
+    # Loading the submodule binds it to the package attribute of the same name.
+    (tmp_path / "records.csv").write_text("z,a\n1,1\n0,0\n", encoding="utf-8")
+    code = (
+        "import contextlib, importlib, io\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {load}\n"
+        "import tverskyci\n"
+        "print(type(tverskyci.ingest).__name__, tverskyci.ingest.__name__)\n"
+    )
+    assert _python(code, cwd=tmp_path) == ["function", "ingest"]
 
 
 @pytest.mark.parametrize(
@@ -135,6 +185,20 @@ def test_every_exported_name_resolves():
         "print(missing == [], 'numpy' in sys.modules)\n"
     )
     assert _python(code) == ["False", "True", "True"]
+
+
+def test_the_lazy_ingest_names_are_the_ingest_modules_list():
+    import tverskyci
+
+    ingest = importlib.import_module("tverskyci.ingest")  # the package exports the function
+    assert tverskyci._INGEST_NAMES == set(ingest.__all__)
+
+
+def test_the_lazy_planning_names_are_the_planning_modules_list():
+    import tverskyci
+    from tverskyci import planning
+
+    assert tverskyci._PLANNING_NAMES == set(planning.__all__)
 
 
 def test_the_lazy_simulation_names_are_the_simulation_modules_list():

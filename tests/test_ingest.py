@@ -344,6 +344,39 @@ def test_jsonl_integer_past_the_digit_limit_rejected(tmp_path):
         ingest(path)
 
 
+# A bad field of 1 MiB, in each value column: the message quotes its first
+# 64 characters and gives its length, on both record formats.
+_HUGE_FIELDS = {
+    "label": ("a", "0" * (1 << 20), "column 'a' must be exactly 0 or 1"),
+    "word": ("score", "x" * (1 << 20), "column 'score' must be a number"),
+    "inf": ("score", "1" + "0" * (1 << 20), "column 'score' must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize("column, field, message", _HUGE_FIELDS.values(), ids=list(_HUGE_FIELDS))
+def test_a_huge_bad_field_is_quoted_by_its_start_and_length(
+    tmp_path, column, field, message, suffix
+):
+    if suffix == ".csv":
+        text, line_no = f"z,{column}\n0,0\n1,{field}\n", 3
+    else:
+        text, line_no = json.dumps({"z": 1, column: field}) + "\n", 1
+    path = _write(tmp_path, "huge" + suffix, text)
+    with pytest.raises(DataError) as info:
+        ingest(path)
+    quoted = f"{field[:64]!r}... ({len(field)} characters)"
+    assert str(info.value) == f"{path}:{line_no}: {message}, got {quoted}"
+
+
+def test_a_long_bad_value_that_is_not_a_string_is_cut_too(tmp_path):
+    path = _write(tmp_path, "list.jsonl", '{"z": 1, "a": [%s]}\n' % ", ".join(["0"] * 1000))
+    with pytest.raises(DataError) as info:
+        ingest(path)
+    quoted = f"[{', '.join(['0'] * 1000)}]"
+    assert str(info.value).endswith(f"got {quoted[:64]}... ({len(quoted)} characters)")
+
+
 # Values a quick check could get wrong: float() accepts underscores, nan,
 # inf, signed zero and Arabic-Indic digits, none of them a 0/1 label; " 1 "
 # is a label once stripped; 1e400 overflows to inf; 0.25 ties the threshold.

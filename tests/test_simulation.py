@@ -279,6 +279,29 @@ def test_histogram_validation():
         histogram_summary([0.4, math.nan], bins=4)
 
 
+@pytest.mark.parametrize(
+    "estimates, bins",
+    [([0.5, math.nextafter(0.5, 1)], 30), ([0.5, math.nextafter(0.5, 1)], 2), ([1e20, 1e20], 1)],
+)
+def test_histogram_of_too_close_estimates_is_parameter_error(estimates, bins):
+    # np.histogram cannot make bins finite-width bins over this spread (a
+    # constant sample is widened by 0.5 each way, which vanishes at 1e20).
+    with pytest.raises(InvalidParameterError, match="too close together for"):
+        histogram_summary(estimates, bins=bins)
+
+
+@pytest.mark.parametrize("bins", [2**62, 2**63 - 1, 2**100])
+def test_histogram_with_more_bins_than_memory_is_parameter_error(bins):
+    with pytest.raises(InvalidParameterError, match="more than can be allocated"):
+        histogram_summary([0.1, 0.2], bins=bins)
+
+
+def test_histogram_of_estimates_one_ulp_apart_fits_one_bin():
+    # One bin over one ulp has a finite width; two would not (above).
+    summary = histogram_summary([0.5, math.nextafter(0.5, 1)], bins=1)
+    assert summary.counts == (2,)
+
+
 def test_histogram_counts_cover_all_estimates():
     rng = np.random.default_rng(3)
     values = rng.normal(0.5, 0.1, size=1000)
