@@ -109,6 +109,11 @@ def _require_positive(value: object, name: str) -> float:
     return out
 
 
+def _require_type(value: object, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}")
+
+
 def _require_float_range(n: int) -> int:
     try:
         float(n)  # the variance is divided by n, and tp_rate underflows past this
@@ -268,6 +273,7 @@ def weighted_error_ratio(counts: ConfusionCounts, params: TverskyParams) -> floa
     it stays accurate when the index is close to 1 (where subtracting from
     the reciprocal would cancel).
     """
+    _require_type(counts, ConfusionCounts, "counts")
     if counts.tp == 0:
         raise DegenerateSampleError(
             "sample has no true positives; the index and its variance are undefined"
@@ -279,6 +285,7 @@ def _error_ratio(tp, fn, fp, params: TverskyParams):
     # (a*fp + b*fn) / tp for Python ints, int64 arrays or cell probabilities;
     # int64 converts to float64 with the same rounding as int, so both give
     # the same bits.
+    _require_type(params, TverskyParams, "params")
     try:
         return (params.fp_weight * fp + params.fn_weight * fn) / tp
     except OverflowError:  # a Python int count beyond the float range
@@ -297,6 +304,7 @@ def tversky_index(counts: ConfusionCounts, params: TverskyParams) -> float:
 
 def precision(counts: ConfusionCounts) -> float:
     """tp / (tp + fp); errors when there are no positive predictions."""
+    _require_type(counts, ConfusionCounts, "counts")
     predicted = counts.tp + counts.fp
     if predicted == 0:
         raise DegenerateSampleError("no positive predictions; precision is undefined")
@@ -305,6 +313,7 @@ def precision(counts: ConfusionCounts) -> float:
 
 def recall(counts: ConfusionCounts) -> float:
     """tp / (tp + fn); errors when there are no positive labels."""
+    _require_type(counts, ConfusionCounts, "counts")
     labeled = counts.tp + counts.fn
     if labeled == 0:
         raise DegenerateSampleError("no positive labels; recall is undefined")
@@ -316,10 +325,11 @@ def summarize(counts: ConfusionCounts, params: TverskyParams) -> SummaryStats:
     index computed with weights (a^2, b^2) directly. The variance of counts
     does not go through this: 1/t - 1 from an index near 1 cancels digits.
     """
+    tversky = tversky_index(counts, params)  # checks both arguments
     return SummaryStats(
         n=counts.n,
         tp_rate=counts.tp_rate,
-        tversky=tversky_index(counts, params),
+        tversky=tversky,
         tversky_sq=tversky_index(counts, params.squared()),
     )
 
@@ -335,6 +345,7 @@ _CONSISTENCY_RTOL = 1e-9
 
 
 def _index_and_variance(data: object, params: TverskyParams) -> tuple[float, float]:
+    _require_type(params, TverskyParams, "params")
     if isinstance(data, ConfusionCounts):
         r1 = weighted_error_ratio(data, params)
         r2 = _error_ratio(data.tp, data.fn, data.fp, params.squared())

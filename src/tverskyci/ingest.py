@@ -14,25 +14,33 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. A large regular file whose header
-(or first JSON record) is line 1 is counted in byte ranges on every CPU,
-the first in this process (see ``_split``); if any range fails, the whole
-file is counted again in one process, which raises the error of the first
-bad line. Common delimited rows are counted by a few inline checks that
-keep no line count; any other row goes on the spot through the per-row
-parser, so errors are the same, and its line number is worked out then
-from the header's line number, the rows counted and the blank lines
-skipped. Input must be UTF-8 (a leading byte order mark is ignored);
-anything else is a DataError. Lines end at ``\n``, ``\r\n`` or ``\r``
-and are numbered from 1 as an editor numbers them; blank lines are skipped
-but still counted.
+does not grow with the number of rows. It grows with the longest line: the
+count in one process peaks at about twice a line's size for a row it
+counts and five times for one it rejects (tracemalloc, lines of 1, 8 and
+64 MiB). A large regular file whose header (or first JSON record) is line
+1 is counted in byte ranges on every CPU, the first in this process (see
+``_split``); if any range fails, the whole file is counted again in one
+process, which raises the error of the first bad line. A range comes in
+text blocks of whole lines, and a block of score rows that are each a bare
+0 or 1 label and a finite score is counted at once; any other block goes
+through the loop the one-process count runs. Common delimited rows are
+counted by a few inline checks that keep no line count; any other row goes
+on the spot through the per-row parser, so errors are the same, and its
+line number is worked out then from the header's line number, the rows
+counted and the blank lines skipped. Input must be UTF-8 (a leading byte
+order mark is ignored); anything else is a DataError. Lines end at ``\n``,
+``\r\n`` or ``\r`` and are numbered from 1 as an editor numbers them;
+blank lines are skipped but still counted.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
+import operator
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
 
 from .errors import DataError, InvalidParameterError
 from .estimation import MODES, ConfusionCounts, _require_finite
@@ -98,7 +106,9 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     ``a``), or "score" (require column ``score``); threshold only applies
     in score mode.
     """
-    if mode not in MODES:
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open takes an int for a descriptor
+        raise InvalidParameterError(f"path must be a str, got {type(path).__name__}")
+    if not isinstance(mode, str) or mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
     threshold = _require_finite(threshold, "threshold")
     try:
@@ -147,12 +157,12 @@ def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | N
 
             ranges = _split.cut(fh.buffer.fileno(), _MIN_RANGE)
         if not ranges:  # fh resumes just after the line first
-            count(first, fh, mode, threshold, path, cells)
+            count(first, (fh,), mode, threshold, path, cells)
             return cells
         parts = _split.count_ranges(
             fh.buffer.fileno(),
             ranges,
-            lambda lines, part: count(first, lines, mode, threshold, path, part),
+            lambda blocks, part: count(first, blocks, mode, threshold, path, part),
         )
     if parts is None:
         return None
@@ -173,12 +183,19 @@ def _count_row(
     return True
 
 
+def _lines(block: Iterable | str) -> Iterable:
+    """The lines of a block that a count is handed: the block itself if it is
+    a file (the serial count), else those of a range's text block."""
+    return io.StringIO(block) if isinstance(block, str) else block
+
+
 def _count_delimited(
-    first: tuple[int, str], fh: Iterator[str], mode: str, threshold: float, path: str, cells: list
+    first: tuple[int, str], blocks: Iterable, mode: str, threshold: float, path: str, cells: list
 ) -> None:
     """Count the rows after the header row first into cells (tp, fn, fp, tn);
-    fh resumes just after the header. A line handed to _count_row is numbered
-    from the totals: each line between it and the header was counted or blank."""
+    blocks are the file resuming just after the header, or a range's text
+    blocks. A line handed to _count_row is numbered from the totals: each line
+    between it and the header was counted or blank."""
     header_line_no, header = first
     delimiter = "\t" if "\t" in header else ","
     columns = [c.strip() for c in header.split(delimiter)]
@@ -189,7 +206,7 @@ def _count_delimited(
     if set(columns) != expected or len(columns) != 2:
         raise DataError(
             f"{where}: header must be exactly columns 'z' and 'a' or 'z' and 'score', "
-            f"got {columns!r}"
+            f"got {_quote(columns)}"
         )
     z_at = 0 if columns[0] == "z" else 1
     resolved = _resolve_mode(mode, columns[1 - z_at], path)
@@ -204,46 +221,86 @@ def _count_delimited(
     binary = {pad + label + end: int(label) for label in "01" for pad in ("", " ") for end in ends}
     negative = {label: 3 - 2 * z for label, z in binary.items()}  # z -> its cell with a = 0
     scores, z_first, blanks, isfinite = resolved == "score", z_at == 0, 0, math.isfinite
-    for line in fh:
-        if z_first:
-            z, _, value = line.rpartition(delimiter)
-        else:
-            value, _, z = line.partition(delimiter)
-        try:
-            if scores:
-                score = float(value)
-                if isfinite(score):
-                    cells[negative[z] - (score > threshold)] += 1
-                    continue
-            else:
-                cells[negative[z] - binary[value]] += 1
+    for block in blocks:
+        if scores and isinstance(block, str):  # a range's block may be counted at once
+            if _count_block(block, delimiter, z_first, threshold, cells):
                 continue
-        except KeyError:  # a padded label, or a line _count_row must see
-            if delimiter not in (z.lstrip() if z_first else z.rstrip()):
-                try:
-                    a = score > threshold if scores else binary[value.strip()]
-                    cells[negative[z.strip()] - a] += 1
+        for line in _lines(block):
+            if z_first:
+                z, _, value = line.rpartition(delimiter)
+            else:
+                value, _, z = line.partition(delimiter)
+            try:
+                if scores:
+                    score = float(value)
+                    if isfinite(score):
+                        cells[negative[z] - (score > threshold)] += 1
+                        continue
+                else:
+                    cells[negative[z] - binary[value]] += 1
                     continue
-                except KeyError:
-                    pass
-        except ValueError:
-            pass
-        where = f"{path}:{header_line_no + sum(cells) + blanks + 1}"
-        blanks += not _count_row(line, where, delimiter, z_at, resolved, threshold, cells)
+            except KeyError:  # a padded label, or a line _count_row must see
+                if delimiter not in (z.lstrip() if z_first else z.rstrip()):
+                    try:
+                        a = score > threshold if scores else binary[value.strip()]
+                        cells[negative[z.strip()] - a] += 1
+                        continue
+                    except KeyError:
+                        pass
+            except ValueError:
+                pass
+            where = f"{path}:{header_line_no + sum(cells) + blanks + 1}"
+            blanks += not _count_row(line, where, delimiter, z_at, resolved, threshold, cells)
+
+
+def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, cells: list) -> bool:
+    """Count a text block of score rows into cells and return True if every
+    row is a 0 or 1 label beside the delimiter, then a finite score (or the
+    same the other way round), ended by a \\n; else count nothing and return
+    False. Each row it counts, the per-line loop would count the same way."""
+    if block[-1:] != "\n":
+        return False
+    if z_first:  # a \n before each row
+        text, one, zero = "\n" + block, "\n1" + delimiter, "\n0" + delimiter
+    else:
+        text, one, zero = block, delimiter + "1\n", delimiter + "0\n"
+    ones = text.count(one)
+    rows = ones + text.count(zero)
+    # Labels and scores in turn. Each of the rows counted above has its own
+    # line and delimiter, so two fields a row means that every line is such
+    # a row and has no other delimiter.
+    fields = block[:-1].replace("\n", delimiter).split(delimiter)
+    if len(fields) != 2 * rows:
+        return False
+    try:
+        scores = list(map(float, fields[z_first::2]))
+    except ValueError:
+        return False
+    if not math.isfinite(sum(scores)):  # an inf or nan, or too large a sum
+        return False
+    above = list(map(operator.gt, scores, itertools.repeat(threshold)))
+    tp = list(itertools.compress(fields[1 - z_first :: 2], above)).count("1")
+    positives = above.count(True)
+    cells[0] += tp
+    cells[1] += ones - tp
+    cells[2] += positives - tp
+    cells[3] += rows - ones - positives + tp
+    return True
 
 
 def _count_jsonl(
     first: tuple[int, str],
-    lines: Iterator[str],
+    blocks: Iterable,
     resolved: str,
     threshold: float,
     path: str,
     cells: list,
 ) -> None:
-    """Count the JSON lines of lines, which follow the record first, into
+    """Count the JSON lines of blocks, which follow the record first, into
     cells; each must be in the mode resolved from first."""
     from json import loads
 
+    lines = itertools.chain.from_iterable(map(_lines, blocks))
     for line_no, line in enumerate(lines, first[0] + 1):
         line = line.strip()
         if line:
@@ -274,7 +331,7 @@ def _json_record(
     if "z" not in keys or not keys <= {"z", "a", "score"} or len(keys) != 2:
         raise DataError(
             f"{where}: record must have key 'z' plus exactly one of 'a' or 'score', "
-            f"got keys {sorted(keys)!r}"
+            f"got keys {_quote(sorted(keys))}"
         )
     return where, record, "a" if "a" in keys else "score"
 

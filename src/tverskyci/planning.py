@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParameterError
-from .estimation import TverskyParams, _record, _require_positive
+from .estimation import TverskyParams, _record, _require_positive, _require_type
 
 __all__ = [
     "VarianceBound",
@@ -83,6 +83,7 @@ def variance_bound(params: TverskyParams) -> VarianceBound:
     The radicand 4c^2 - 4c + 9 is at least 8 for every real c, so the
     roots are evaluated directly without a stability rewrite.
     """
+    _require_type(params, TverskyParams, "params")
     m = params.max_weight
     if m == 1.0:
         # Limit case: the damping factor (1 - (1-m)t)^2 degenerates to 1

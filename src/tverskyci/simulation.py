@@ -43,6 +43,7 @@ from .estimation import (
     _require_count,
     _require_finite,
     _require_open_unit,
+    _require_type,
     _variance_kernel,
     normal_cdf,
     normal_quantile,
@@ -106,6 +107,7 @@ class ScoreModel:
 
 def _positive_cells(model: ScoreModel) -> tuple[float, float, float]:
     """The model's (tp, fn, fp) probabilities, which must give true positives."""
+    _require_type(model, ScoreModel, "model")
     p_tp, p_fn, p_fp, _ = model.cell_probabilities
     if p_tp <= 0.0:
         raise DegenerateSampleError("model gives zero true-positive probability")
@@ -148,10 +150,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, ScoreModel):
-            raise InvalidParameterError("model must be a ScoreModel")
-        if not isinstance(self.params, TverskyParams):
-            raise InvalidParameterError("params must be a TverskyParams")
+        _require_type(self.model, ScoreModel, "model")
+        _require_type(self.params, TverskyParams, "params")
         n = _require_bits(self.n, "n", 63)
         reps = _require_bits(self.replications, "replications", 63)
         if n < 1 or reps < 1:
@@ -221,6 +221,7 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.n
     cell buffer. A variance that overflows is nan, never inf (an infinite
     numerator comes with t**4 = 0), so the first chunk that has one raises
     the message a pass over every replication would."""
+    _require_type(config, SimulationConfig, "config")
     true_value = population_index(config.model, config.params)  # its error comes first
     n, pvals, reps = config.n, np.array(config.model.cell_probabilities), config.replications
     bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
@@ -233,7 +234,7 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.n
     try:
         estimates, ses = np.empty(reps), np.empty(reps)
         covered = np.empty(reps, dtype=bool)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: larger than the address space
         raise InvalidParameterError(
             f"replications={reps} needs at least {17 * reps} bytes of memory for the "
             "estimates, standard errors and coverage flags, more than can be allocated"
@@ -322,8 +323,8 @@ def bootstrap_se(
     error. Resamples are drawn in chunks and the std is taken in place, so
     memory is the kept indices, 8 bytes per resample, plus one chunk.
     """
-    if not isinstance(counts, ConfusionCounts):
-        raise InvalidParameterError("counts must be a ConfusionCounts")
+    _require_type(counts, ConfusionCounts, "counts")
+    _require_type(params, TverskyParams, "params")
     resamples = _require_bits(resamples, "resamples", 63)
     if resamples < 100:
         raise InvalidParameterError(f"resamples must be >= 100, got {resamples}")
@@ -334,7 +335,7 @@ def bootstrap_se(
     pvals = np.array([counts.tp, counts.fn, counts.fp, counts.tn]) / n
     try:
         indices = np.empty(resamples)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: larger than the address space
         raise InvalidParameterError(
             f"resamples={resamples} needs {8 * resamples} bytes of memory, "
             "more than can be allocated"
@@ -368,7 +369,8 @@ def bootstrap_se(
 class HistogramSummary:
     """Equal-width bin counts plus moment diagnostics of a sample of
     estimates. Skewness and excess kurtosis are None where they are
-    undefined: a constant sample, or a spread whose moments underflow."""
+    undefined: a constant sample, or a spread whose moments underflow or
+    overflow."""
 
     counts: tuple[int, ...]
     edges: tuple[float, ...]
@@ -388,7 +390,7 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
         raise InvalidParameterError("bins must be >= 1")
     try:
         values = np.asarray(estimates, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError("estimates must be numbers") from None
     if values.ndim != 1:
         values = values.ravel()
@@ -397,6 +399,8 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     if not np.all(np.isfinite(values)):
         raise InvalidParameterError("estimates must all be finite")
     lo, hi = float(values.min()), float(values.max())
+    if hi - lo == math.inf:
+        raise InvalidParameterError(f"estimates in [{lo!r}, {hi!r}] spread past the float range")
     try:
         if 16 * bins > sys.maxsize:  # numpy rejects such a size without trying to allocate it
             raise MemoryError
@@ -416,12 +420,17 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
         ) from None
     skewness = excess_kurtosis = None
     buf = np.empty_like(values)
-    m2 = _moment(values, 2, buf)
-    # A constant sample has no spread, and one whose moments underflow
-    # cannot be normalised; don't let rounding residue masquerade as moments.
-    if lo < hi and m2**2 > 0.0:
-        skewness = _moment(values, 3, buf) / m2**1.5
-        excess_kurtosis = _moment(values, 4, buf) / m2**2 - 3.0
+    # A constant sample has no spread, and one whose moments underflow or
+    # overflow cannot be normalised; don't let rounding residue masquerade as
+    # moments.
+    try:
+        with np.errstate(over="raise"):
+            m2 = _moment(values, 2, buf)
+            if lo < hi and m2**2 > 0.0:
+                skewness = _moment(values, 3, buf) / m2**1.5
+                excess_kurtosis = _moment(values, 4, buf) / m2**2 - 3.0
+    except (FloatingPointError, OverflowError):
+        skewness = excess_kurtosis = None
     return HistogramSummary(
         counts=tuple(int(c) for c in counts),
         edges=tuple(float(e) for e in edges),

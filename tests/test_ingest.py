@@ -28,6 +28,7 @@ from tverskyci.cli import main
 from tests._reference import reference_ingest
 
 _ingest = importlib.import_module("tverskyci.ingest")  # the package exports the function
+_ranges = importlib.import_module("tverskyci._split")
 
 
 @contextlib.contextmanager
@@ -235,6 +236,14 @@ def test_invalid_mode_and_threshold():
         ingest("whatever.csv", threshold=float("nan"))
 
 
+@pytest.mark.parametrize("path, mode", [(1, "auto"), (True, "auto"), ("x.csv", np.array(["auto"]))])
+def test_a_path_or_mode_of_the_wrong_type_is_rejected_before_any_open(path, mode):
+    # open would take an int path for a file descriptor and close it.
+    with pytest.raises(InvalidParameterError):
+        ingest(path, mode=mode)
+    os.fstat(1)
+
+
 def test_non_utf8_file_is_a_data_error(tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"z,a\n1,1\n\xff\xfe\n")
@@ -377,6 +386,33 @@ def test_a_long_bad_value_that_is_not_a_string_is_cut_too(tmp_path):
     assert str(info.value).endswith(f"got {quoted[:64]}... ({len(quoted)} characters)")
 
 
+_HEADER = "header must be exactly columns 'z' and 'a' or 'z' and 'score', got "
+_KEYS = "record must have key 'z' plus exactly one of 'a' or 'score', got keys "
+
+
+@pytest.mark.parametrize(
+    "suffix, template, message, listed",
+    [
+        (".csv", "z,{}\n1,1\n", _HEADER, lambda name: ["z", name]),
+        (".jsonl", '{{"z": 1, "a": 1, "{}": 0}}\n', _KEYS, lambda name: sorted(["z", "a", name])),
+    ],
+    ids=["header", "JSON keys"],
+)
+@pytest.mark.parametrize("length", [4, 1 << 20], ids=["short", "1 MiB"])
+def test_a_huge_column_or_key_list_is_quoted_by_its_start_and_length(
+    tmp_path, capsys, suffix, template, message, listed, length
+):
+    name = "x" * length
+    path = _write(tmp_path, "names" + suffix, template.format(name))
+    assert main(["ci", "--input", path]) == 2
+    err = capsys.readouterr().err
+    quoted = repr(listed(name))
+    if len(quoted) > 64:
+        quoted = f"{quoted[:64]}... ({len(quoted)} characters)"
+    assert err == f"tverskyci: error: {path}:1: {message}{quoted}\n"
+    assert len(err.encode()) < 1024
+
+
 # Values a quick check could get wrong: float() accepts underscores, nan,
 # inf, signed zero and Arabic-Indic digits, none of them a 0/1 label; " 1 "
 # is a label once stripped; 1e400 overflows to inf; 0.25 ties the threshold.
@@ -469,6 +505,22 @@ def _outcome(parse, path, mode):
 @example((b"z,a\n1,1\n0,0\n1,0\n0,1\n1,1\n1,7\n", "auto"))
 @example((b"z,a\n" + b"1,1\n" * 3000 + b"\xff,1\n", "auto"))
 @example((b"z,a\n1,7\n" + b"1,1\n" * 3000 + b"\xff,1\n", "auto"))
+# Split, a range is read in blocks of 16 bytes, and a block of score rows may
+# be counted at once. In these, the last range is one block with as many
+# delimiters as lines, but a row with none and a row with two.
+@example((b"z,score\n0\n1,0.5,0.5\n", "auto"))
+@example((b"score,z\n1\n0.5,1,0\n", "auto"))
+# Scores float() takes, and scores that are not finite.
+@example((b"z,score\n1,1_0\n0,+1\n1,.5\n0,2\n1, 0.5\n0,0.25\n1,-0\n", "auto"))
+@example((b"z,score\n1,0.5\n0,0.25\n1,0.75\n1,inf\n", "auto"))
+@example((b"z,score\n1,0.5\n0,0.25\n1,0.75\n0,nan\n", "auto"))
+@example((b"score,z\n0.5,1\n0.25,0\n0.75,1\n1e400,1\n", "auto"))
+# Padded labels, a tab, the score first, \r\n and a lone \r, no last newline.
+@example((b"z,score\n1,0.5\n 0,0.25\n1 ,0.75\n0,0.1\n1,0.9\n", "auto"))
+@example((b"score\tz\n0.5\t1\n0.25\t0\n0.75\t 1\n0.1\t0\n", "auto"))
+@example((b"z\tscore\r\n1\t0.5\r\n0\t0.25\r\n1\t0.75\r\n0\t0.1\r\n", "auto"))
+@example((b"score,z\r0.5,1\r0.25,0\r0.75,1\r0.1,0\r0.9,1\r", "auto"))
+@example((b"z,score\n1,0.5\n0,0.25\n1,0.75\n0,0.1\n1,0.9", "auto"))
 def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
     raw, mode = case
     path = str(tmp_path_factory.mktemp("records") / "records.csv")
@@ -476,7 +528,8 @@ def test_delimited_ingest_matches_the_per_row_parser(tmp_path_factory, case):
         fh.write(raw)
     expected = _outcome(reference_ingest, path, mode)
     assert _outcome(ingest, path, mode) == expected
-    with _split() as (_, counts):
+    with _split() as (_, counts), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ranges, "_BLOCK", 16)
         assert _outcome(ingest, path, mode) == expected
     if isinstance(expected, ConfusionCounts):
         assert counts == [True]  # the ranges counted it: no serial rerun
@@ -505,6 +558,40 @@ def test_canonical_rows_never_reach_the_per_row_parser(tmp_path, monkeypatch, te
     counts = ingest(_write(tmp_path, "canonical.csv", text), threshold=0.25)
     assert counts.n == 4
     assert calls == []
+
+
+_CANONICAL = {
+    "comma": ("z,score\n", "{z},{s}\n"),
+    "tab, score first": ("score\tz\n", "{s}\t{z}\n"),
+    "CRLF": ("z,score\r\n", "{z},{s}\r\n"),
+    "lone CR": ("score,z\r", "{s},{z}\r"),
+}
+
+
+@pytest.mark.parametrize("header, row", _CANONICAL.values(), ids=list(_CANONICAL))
+def test_canonical_split_files_are_counted_a_block_at_a_time(tmp_path, monkeypatch, header, row):
+    # Three ranges of about 40 kB, each read in several blocks. A block handed
+    # to the per-line loop is recorded here and fails its range, so one in a
+    # worker brings a serial count.
+    rng = random.Random(7)
+    lines = [row.format(z=rng.randint(0, 1), s=f"{rng.uniform(-2, 2):.4f}") for _ in range(12_000)]
+    lines[::1000] = [line[:-1] + "\n" for line in lines[::1000]]  # ranges end at a \n
+    path = _write(tmp_path, "canonical.csv", header + "".join(lines))
+    expected = ConfusionCounts(*_ingest._count_file(path, "auto", 0.25, split=False))
+    handed = []
+
+    def loop_lines(block):
+        if isinstance(block, str):
+            handed.append(block)
+            raise DataError("a block reached the per-line loop")
+        return block
+
+    monkeypatch.setattr(_ingest, "_lines", loop_lines)
+    with _split() as (forks, counts):
+        assert ingest(path, threshold=0.25) == expected
+    assert len(forks) == 2
+    assert counts == [True]
+    assert handed == []
 
 
 def test_ingest_memory_does_not_grow_with_rows(tmp_path):

@@ -1,0 +1,74 @@
+"""Every public callable of the package returns or raises a TverskyCIError
+subclass, whatever it is given."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tverskyci
+from tverskyci import (
+    ConfusionCounts,
+    ScoreModel,
+    SimulationConfig,
+    TverskyCIError,
+    TverskyParams,
+    summarize,
+)
+
+_COUNTS = ConfusionCounts(30, 20, 10, 40)
+_PARAMS = TverskyParams(0.5, 0.5)
+_MODEL = ScoreModel(0.3, 2.5, 1.0)
+# Sizes (n, replications, resamples, bins) are small or so large that the
+# call must fail fast; none is large enough to run for long.
+_SIZES = [1, 2, 3, 30, 100, 200, 2**62, 2**63, 2**64, 10**400]
+_POOL = [
+    *_SIZES,
+    *[-(10**400), -1, 0, 0.0, -0.0, 0.5, 1.0, 2.5, 1e308],
+    *[math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308],
+    *[True, False, None, "", "0.5", "nan", "no such file"],
+    *[np.float64(0.5), np.float64(math.nan), np.float32(0.25), np.int64(3), np.int64(-1)],
+    *[np.uint64(2**64 - 1), np.bool_(True), np.array(0.5), np.array(2), np.array([])],
+    *[np.zeros((0, 2)), np.array([[0.25, 0.5]]), [], [[]], [0.5, 0.75], [[0.5], [0.75]]],
+    *[[0.5, math.nan], [0.5, "x"], [[0.5], 0.75], [-1e308, 1e308], {"z": 1}],
+    _COUNTS,
+    ConfusionCounts(1, 0, 0, 2**62),
+    ConfusionCounts(0, 5, 5, 5),
+    _PARAMS,
+    TverskyParams(1e-300, 1e300),
+    summarize(_COUNTS, _PARAMS),
+    _MODEL,
+    ScoreModel(0.5, 0.0, 1e300),
+    SimulationConfig(_MODEL, 20, 3, _PARAMS),
+    SimulationConfig(_MODEL, 2**62, 2, _PARAMS, 0.5, 2**64 - 1),
+    SimulationConfig(_MODEL, 20, 2**62, _PARAMS),
+]
+
+
+def _arity(function):
+    """The fewest and most positional arguments function takes."""
+    try:
+        parameters = inspect.signature(function).parameters.values()
+    except ValueError:  # an exception class
+        return 0, 1
+    return sum(p.default is p.empty for p in parameters), len(parameters)
+
+
+_CALLABLES = [name for name in tverskyci.__all__ if callable(getattr(tverskyci, name))]
+
+
+@pytest.mark.parametrize("name", _CALLABLES)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_public_callable_answers_or_raises_a_typed_error(name, data):
+    function = getattr(tverskyci, name)
+    fewest, most = _arity(function)
+    k = data.draw(st.integers(fewest, most), label="arguments")
+    args = data.draw(st.lists(st.sampled_from(_POOL), min_size=k, max_size=k), label="args")
+    try:
+        function(*args)
+    except TverskyCIError:
+        pass

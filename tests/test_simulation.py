@@ -248,6 +248,32 @@ def test_histogram_moments_that_underflow_are_none():
     assert summary.excess_kurtosis is None
 
 
+@pytest.mark.parametrize("estimates", [[0.0, 1e100], [0.0, 1e300], [-1e200, 1e200, 0.5]])
+def test_histogram_moments_that_overflow_are_none(estimates):
+    summary = histogram_summary(estimates, bins=2)
+    assert sum(summary.counts) == len(estimates)
+    assert summary.skewness is None
+    assert summary.excess_kurtosis is None
+
+
+@pytest.mark.parametrize(
+    "estimates, message",
+    [([-1e308, 1e308], "spread past the float range"), ([0.5, 10**400], "must be numbers")],
+)
+def test_histogram_of_estimates_past_the_float_range_is_parameter_error(estimates, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        histogram_summary(estimates)
+
+
+def test_replications_and_resamples_past_the_address_space_are_parameter_errors():
+    # numpy refuses such an array with a ValueError, not a MemoryError.
+    config = dataclasses.replace(REFERENCE_CONFIG, replications=2**62)
+    with pytest.raises(InvalidParameterError, match="more than can be allocated"):
+        run_simulation(config)
+    with pytest.raises(InvalidParameterError, match="more than can be allocated"):
+        bootstrap_se(ConfusionCounts(30, 20, 10, 40), REFERENCE_PARAMS, resamples=2**62)
+
+
 def test_population_variance_squared_weight_overflow():
     with pytest.raises(InvalidParameterError, match="overflow when squared"):
         population_variance(REFERENCE_MODEL, TverskyParams(1e200, 1.0))
