@@ -20,6 +20,7 @@ from .estimation import (
     SummaryStats,
     TverskyParams,
     _consistent_ratios,
+    _quote,
     confidence_interval,
     fbeta_to_tversky,
     precision,
@@ -38,7 +39,7 @@ def _comma_fields(
     types: tuple[type, ...], wrong_count: str, malformed: str
 ) -> Callable[[str], tuple]:
     """An argparse type for len(types) comma-separated fields, each parsed by
-    its type. A bad field reports ``malformed`` followed by the text's repr."""
+    its type. A bad field reports ``malformed`` followed by the text, quoted."""
 
     def parse(text: str) -> tuple:
         parts = text.split(",")
@@ -47,7 +48,7 @@ def _comma_fields(
         try:
             return tuple(kind(part) for kind, part in zip(types, parts))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{malformed} {text!r}") from None
+            raise argparse.ArgumentTypeError(f"{malformed} {_quote(text)}") from None
 
     return parse
 

@@ -70,6 +70,7 @@ _REAL = (float, int, numbers.Real)
 # The record-file modes of ingest, here so the CLI can offer them without
 # loading ingest.
 MODES = ("auto", "prediction", "score")
+_QUOTED = 64  # characters of a caller's value that an error message quotes
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +78,35 @@ MODES = ("auto", "prediction", "score")
 # ---------------------------------------------------------------------------
 
 
+def _quote(value: object) -> str:
+    """repr(value), cut for a value longer than _QUOTED characters (a str, or
+    else its repr) to that many and followed by the length, so that a huge
+    value cannot make a huge error message. Never raises: an int past str()'s
+    digit limit is described by its sign and bit length."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except Exception:  # the digit limit, also inside a container, or a broken __repr__
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} that cannot be printed"
+    quoted = repr if text is value else str  # a repr is quoted already
+    if len(text) <= _QUOTED:
+        return quoted(text)
+    return f"{quoted(text[:_QUOTED])}... ({len(text)} characters)"
+
+
 def _require_count(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, _INTEGRAL):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer, got {_quote(value)}")
     out = int(value)
     if out < 0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {out}")
+        raise InvalidParameterError(f"{name} must be >= 0, got {_quote(out)}")
     return out
 
 
 def _require_real(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, _REAL):
-        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
+        raise InvalidParameterError(f"{name} must be a number, got {_quote(value)}")
     try:
         return float(value)
     except OverflowError:  # an int past the float range; the caller's range check names it

@@ -14,28 +14,29 @@ prediction via ``score > threshold``. Malformed rows raise a DataError
 carrying the 1-based line number; rows are never skipped silently.
 
 Files are streamed line by line and counted as they are parsed, so memory
-does not grow with the number of rows. It grows with the longest line: the
-count in one process peaks at about twice a line's size for a row it
-counts and five times for one it rejects (tracemalloc, lines of 1, 8 and
-64 MiB). A large regular file whose header (or first JSON record) is line
-1 is counted in byte ranges on every CPU, the first in this process (see
-``_split``); if any range fails, the whole file is counted again in one
-process, which raises the error of the first bad line. A range comes in
-text blocks of whole lines, and a block of score rows that are each a bare
-0 or 1 label and a finite score is counted at once; any other block goes
-through the loop the one-process count runs. Common delimited rows are
-counted by a few inline checks that keep no line count; any other row goes
-on the spot through the per-row parser, so errors are the same, and its
-line number is worked out then from the header's line number, the rows
-counted and the blank lines skipped. Input must be UTF-8 (a leading byte
-order mark is ignored); anything else is a DataError. Lines end at ``\n``,
-``\r\n`` or ``\r`` and are numbered from 1 as an editor numbers them;
-blank lines are skipped but still counted.
+does not grow with the number of rows but with the longest line. Under
+tracemalloc (lines of 1 and 8 MiB) the count in one process peaks at twice
+a line's size for a row it counts and four times for one it rejects; a split
+range peaks at four times for a counted row, five for a score row. A large
+regular file whose header (or first JSON record) is line 1 is counted in
+byte ranges on every CPU, the first in this process (see ``_split``); if
+any range fails, the whole file is counted again in one process, which
+raises the error of the first bad line. A range comes in text blocks of
+whole lines; a block of score rows that are each a bare 0 or 1 label and a
+finite score is counted at once, and any other block goes through the loop
+the one-process count runs. That loop counts common delimited rows by a few
+inline checks that keep no line count and ends in the per-row parser, which
+gets any other row on the spot, so errors are the same; its line number is
+worked out from the header's line number, the rows counted and the blank
+lines skipped. An error quotes at most 64 characters of a value. Input must
+be UTF-8 (a leading byte order mark is ignored); anything else is a
+DataError. Lines end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1
+as an editor numbers them; blank lines are skipped but still counted.
 """
 
 from __future__ import annotations
 
-import io
+import errno
 import itertools
 import math
 import operator
@@ -43,26 +44,11 @@ import os
 from collections.abc import Callable, Iterable
 
 from .errors import DataError, InvalidParameterError
-from .estimation import MODES, ConfusionCounts, _require_finite
+from .estimation import MODES, ConfusionCounts, _quote, _require_finite
 
 __all__ = ["ingest"]
 
 _MIN_RANGE = 1 << 20  # bytes; a file is split only into ranges at least this long
-_QUOTED = 64  # characters of a bad value that an error message quotes
-
-
-def _quote(raw: object) -> str:
-    """repr(raw), cut for a value longer than _QUOTED characters (a string,
-    or else its repr) to that many and followed by the length, so that a
-    huge field cannot make a huge error message."""
-    if isinstance(raw, str):
-        if len(raw) <= _QUOTED:
-            return repr(raw)
-        return f"{raw[:_QUOTED]!r}... ({len(raw)} characters)"
-    text = repr(raw)
-    if len(text) <= _QUOTED:
-        return text
-    return f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
 def _parse_binary(raw: object, column: str, where: str) -> int:
@@ -109,7 +95,7 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
     if not isinstance(path, (str, bytes, os.PathLike)):  # open takes an int for a descriptor
         raise InvalidParameterError(f"path must be a str, got {type(path).__name__}")
     if not isinstance(mode, str) or mode not in MODES:
-        raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidParameterError(f"mode must be one of {MODES}, got {_quote(mode)}")
     threshold = _require_finite(threshold, "threshold")
     try:
         cells = _count_file(path, mode, threshold, split=True)
@@ -117,7 +103,9 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
             cells = _count_file(path, mode, threshold, split=False)
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
-    except OSError as exc:
+    except OSError as exc:  # exc repeats path; a name too long to open is quoted once
+        if exc.errno == errno.ENAMETOOLONG:
+            raise DataError(f"{_quote(path)}: cannot read file: {exc.strerror}") from None
         raise DataError(f"{path}: cannot read file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
@@ -164,29 +152,16 @@ def _count_file(path: str, mode: str, threshold: float, split: bool) -> list | N
             ranges,
             lambda blocks, part: count(first, blocks, mode, threshold, path, part),
         )
-    if parts is None:
-        return None
-    return [sum(column) for column in zip(cells, *parts)]
-
-
-def _count_row(
-    line: str, where: str, delimiter: str, z_at: int, resolved: str, threshold: float, cells: list
-) -> bool:
-    """The per-row parser of delimited text: count line into cells and return
-    True, return False for a blank line, or raise a DataError."""
-    fields = line.strip().split(delimiter)
-    if fields == [""]:
-        return False
-    if len(fields) != 2:
-        raise DataError(f"{where}: expected 2 fields, got {len(fields)}")
-    _count_record(fields[z_at], fields[1 - z_at], resolved, threshold, where, cells)
-    return True
+    return None if parts is None else [sum(column) for column in zip(cells, *parts)]
 
 
 def _lines(block: Iterable | str) -> Iterable:
-    """The lines of a block that a count is handed: the block itself if it is
-    a file (the serial count), else those of a range's text block."""
-    return io.StringIO(block) if isinstance(block, str) else block
+    """The lines of a block a count is handed: a file's own (the serial count),
+    or a range's text block cut at each \\n, with no line after the last."""
+    if not isinstance(block, str):
+        return block
+    lines = block.split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 def _count_delimited(
@@ -194,8 +169,8 @@ def _count_delimited(
 ) -> None:
     """Count the rows after the header row first into cells (tp, fn, fp, tn);
     blocks are the file resuming just after the header, or a range's text
-    blocks. A line handed to _count_row is numbered from the totals: each line
-    between it and the header was counted or blank."""
+    blocks. A line the per-row parser rejects is numbered from the totals:
+    each line between it and the header was counted or blank."""
     header_line_no, header = first
     delimiter = "\t" if "\t" in header else ","
     columns = [c.strip() for c in header.split(delimiter)]
@@ -211,12 +186,12 @@ def _count_delimited(
     z_at = 0 if columns[0] == "z" else 1
     resolved = _resolve_mode(mode, columns[1 - z_at], path)
 
-    # Inline, a label must be 0 or 1 with at most a space on either side (the
-    # last field keeps its newline), or other padding that str.strip removes
-    # and that hides no second delimiter (a tab one can), and the value is cut
-    # at the delimiter nearest it, so a row counted here has the two fields
-    # _count_row would count the same way (float strips no more than
-    # str.strip); it gets any other line.
+    # Inline, a label must be 0 or 1 with at most a space on either side (a
+    # file's last field keeps its newline), or other padding that str.strip
+    # removes and that hides no second delimiter (a tab one can), and the value
+    # is cut at the delimiter nearest it, so a row counted here has the two
+    # fields that the per-row parser ending the loop counts the same way (float
+    # strips no more than str.strip); that parser gets any other line.
     ends = ("", " ", "\n", " \n")
     binary = {pad + label + end: int(label) for label in "01" for pad in ("", " ") for end in ends}
     negative = {label: 3 - 2 * z for label, z in binary.items()}  # z -> its cell with a = 0
@@ -239,7 +214,7 @@ def _count_delimited(
                 else:
                     cells[negative[z] - binary[value]] += 1
                     continue
-            except KeyError:  # a padded label, or a line _count_row must see
+            except KeyError:  # a padded label, or a line for the per-row parser
                 if delimiter not in (z.lstrip() if z_first else z.rstrip()):
                     try:
                         a = score > threshold if scores else binary[value.strip()]
@@ -249,8 +224,15 @@ def _count_delimited(
                         pass
             except ValueError:
                 pass
+            line = line.strip()  # the per-row parser; its z and value free the first cut
+            if not line:
+                blanks += 1
+                continue
             where = f"{path}:{header_line_no + sum(cells) + blanks + 1}"
-            blanks += not _count_row(line, where, delimiter, z_at, resolved, threshold, cells)
+            if line.count(delimiter) != 1:
+                raise DataError(f"{where}: expected 2 fields, got {line.count(delimiter) + 1}")
+            z, value = line.split(delimiter)[:: 1 if z_first else -1]
+            _count_record(z, value, resolved, threshold, where, cells)
 
 
 def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, cells: list) -> bool:
@@ -289,15 +271,10 @@ def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, ce
 
 
 def _count_jsonl(
-    first: tuple[int, str],
-    blocks: Iterable,
-    resolved: str,
-    threshold: float,
-    path: str,
-    cells: list,
+    first: tuple[int, str], blocks: Iterable, mode: str, threshold: float, path: str, cells: list
 ) -> None:
     """Count the JSON lines of blocks, which follow the record first, into
-    cells; each must be in the mode resolved from first."""
+    cells; each must be in mode, the one resolved from first."""
     from json import loads
 
     lines = itertools.chain.from_iterable(map(_lines, blocks))
@@ -305,9 +282,9 @@ def _count_jsonl(
         line = line.strip()
         if line:
             where, record, value_key = _json_record(line_no, line, path, loads)
-            if ("prediction" if value_key == "a" else "score") != resolved:
+            if ("prediction" if value_key == "a" else "score") != mode:
                 raise DataError(f"{where}: record switches to {value_key!r} mode mid-file")
-            _count_record(record["z"], record[value_key], resolved, threshold, where, cells)
+            _count_record(record["z"], record[value_key], mode, threshold, where, cells)
 
 
 def _json_record(

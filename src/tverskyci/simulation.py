@@ -40,6 +40,7 @@ from .estimation import (
     TverskyParams,
     _error_ratio,
     _finite_variance,
+    _quote,
     _require_count,
     _require_finite,
     _require_open_unit,
@@ -66,7 +67,7 @@ def _require_bits(value: object, name: str, bits: int) -> int:
     # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.
     out = _require_count(value, name)
     if out >= 2**bits:
-        raise InvalidParameterError(f"{name} must fit in {bits} bits, got {out}")
+        raise InvalidParameterError(f"{name} must fit in {bits} bits, got {_quote(out)}")
     return out
 
 
@@ -415,8 +416,8 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
         counts, edges = np.histogram(values, bins=bins)
     except MemoryError:
         raise InvalidParameterError(
-            f"bins={bins} needs at least {16 * bins} bytes of memory for the bin "
-            "counts and edges, more than can be allocated"
+            f"bins={_quote(bins)} needs at least {_quote(16 * bins)} bytes of memory "
+            "for the bin counts and edges, more than can be allocated"
         ) from None
     skewness = excess_kurtosis = None
     buf = np.empty_like(values)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tverskyci import (
     DegenerateSampleError,
@@ -245,6 +249,15 @@ def test_usage_error_is_exit_1(capsys):
     assert "error" in err
 
 
+def test_a_huge_malformed_count_is_quoted_in_one_short_line(capsys):
+    value = "1,2,3," + "x" * 100_000
+    code, out, err = run_cli(capsys, "ci", "--counts", value)
+    assert (code, out) == (1, "")
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(f"got {value[:64]!r}... ({len(value)} characters)")
+    assert len(err.encode()) < 1024
+
+
 def test_conflicting_inputs_is_exit_1(capsys):
     code, _, _ = run_cli(
         capsys, "ci", "--counts", "1,1,1,1", "--summary", "4,0.25,0.5,0.5"
@@ -474,3 +487,52 @@ def test_bad_row_read_from_a_pipe_is_reported_once_with_its_line():
         "tverskyci: error: /dev/stdin:4: column 'score' must be a number, got 'abc'\n"
     )
 
+
+def _summary_arg(counts, fp_w, fn_w):
+    """The --summary value N,TP_RATE,TVERSKY,TVERSKY_SQ implied by counts,
+    computed as the benchmark's input generator computes it."""
+    tp, fn, fp, tn = counts
+    n = tp + fn + fp + tn
+    tversky = tp / (tp + fp_w * fp + fn_w * fn)
+    tversky_sq = tp / (tp + fp_w * fp_w * fp + fn_w * fn_w * fn)
+    return f"{n},{tp / n!r},{tversky!r},{tversky_sq!r}"
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+_CELL = st.integers(0, 10**9)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    counts=st.tuples(st.integers(1, 10**9), _CELL, _CELL, _CELL),
+    weights=st.tuples(*[st.floats(1e-3, 1e3)] * 2),
+    level=st.floats(0.5, 0.999),
+)
+def test_ci_of_a_summary_or_as_text_agrees_with_ci_of_counts_as_json(counts, weights, level):
+    common = ("ci", "--ab", ",".join(map(repr, weights)), "--level", repr(level))
+    by_counts = ("--counts", ",".join(map(str, counts)))
+    payload = json.loads(_stdout(*common, *by_counts, "--format", "json"))
+    # The summary path gives the same interval within tolerance.
+    summary = json.loads(
+        _stdout(*common, "--summary", _summary_arg(counts, *weights), "--format", "json")
+    )
+    assert summary["n"] == payload["n"] and summary["params"] == payload["params"]
+    for key in ("estimate", "variance", "se", "half_width", "ci_lower", "ci_upper", "level"):
+        assert summary[key] == pytest.approx(payload[key], rel=1e-6, abs=1e-12), key
+    # The text report is the JSON rounded to the digits it prints.
+    text = dict(line.split(": ", 1) for line in _stdout(*common, *by_counts).splitlines())
+    params = payload["params"]
+    assert text.pop("n") == str(payload["n"])
+    assert text.pop("weights") == f"fp={params['fp_weight']:g} fn={params['fn_weight']:g}"
+    assert text.pop("level") == f"{payload['level']:g}"
+    lower, upper = text.pop("ci").strip("[]").split(", ")
+    text.update(ci_lower=lower, ci_upper=upper)
+    assert {key: float(value) for key, value in text.items()} == {
+        key: round(payload[key], 6) for key in text
+    }

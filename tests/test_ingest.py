@@ -641,6 +641,38 @@ def test_rows_ended_by_a_lone_cr_keep_memory_flat(tmp_path, middle, n_forks):
     assert counts == [True]
 
 
+_LONG = 8 << 20  # characters in the one long line of the two tests below
+
+
+def test_a_rejected_long_line_peaks_at_four_times_its_size_in_one_process(tmp_path):
+    path = _write(tmp_path, "long.csv", "z,score\n1," + "x" * _LONG + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"must be a number, got 'x+'... \\({_LONG} "):
+            _ingest._count_file(path, "auto", 0.5, split=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * _LONG  # 4.0 measured
+
+
+def test_a_counted_long_line_peaks_at_four_times_its_size_in_a_split_range(tmp_path):
+    # The padded row goes through the per-line loop in the first range, which
+    # this process counts; 1.2 MB of rows after it make a second range.
+    path = _write(tmp_path, "long.csv", "z,a\n1," + " " * _LONG + "1\n" + "0,1\n" * 300_000)
+    with _split(2, min_range=_ingest._MIN_RANGE) as (forks, counts):
+        tracemalloc.start()
+        try:
+            result = ingest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result == ConfusionCounts(tp=1, fn=0, fp=300_000, tn=0)
+    assert len(forks) == 1
+    assert counts == [True]
+    assert peak < 4.5 * _LONG  # 4.0 measured
+
+
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
 def test_a_header_ended_by_a_lone_cr_is_split(tmp_path, bom):
     # 2.3 MB of rows after a header ended by a lone \r, with a \n just past

@@ -1,5 +1,5 @@
 """Every public callable of the package returns or raises a TverskyCIError
-subclass, whatever it is given."""
+subclass, whatever it is given, and an error's message stays under 1 KiB."""
 
 import inspect
 import math
@@ -22,6 +22,8 @@ from tverskyci import (
 _COUNTS = ConfusionCounts(30, 20, 10, 40)
 _PARAMS = TverskyParams(0.5, 0.5)
 _MODEL = ScoreModel(0.3, 2.5, 1.0)
+_HUGE_INT = 10**5000  # str() refuses an int past 4300 digits
+_MESSAGE_BYTES = 1024  # the most an error message may take
 # Sizes (n, replications, resamples, bins) are small or so large that the
 # call must fail fast; none is large enough to run for long.
 _SIZES = [1, 2, 3, 30, 100, 200, 2**62, 2**63, 2**64, 10**400]
@@ -34,6 +36,8 @@ _POOL = [
     *[np.uint64(2**64 - 1), np.bool_(True), np.array(0.5), np.array(2), np.array([])],
     *[np.zeros((0, 2)), np.array([[0.25, 0.5]]), [], [[]], [0.5, 0.75], [[0.5], [0.75]]],
     *[[0.5, math.nan], [0.5, "x"], [[0.5], 0.75], [-1e308, 1e308], {"z": 1}],
+    # Values too long to echo whole in a message.
+    *[_HUGE_INT, -_HUGE_INT, "y" * 2**20, [0.5] * 2**18],
     _COUNTS,
     ConfusionCounts(1, 0, 0, 2**62),
     ConfusionCounts(0, 5, 5, 5),
@@ -70,5 +74,25 @@ def test_every_public_callable_answers_or_raises_a_typed_error(name, data):
     args = data.draw(st.lists(st.sampled_from(_POOL), min_size=k, max_size=k), label="args")
     try:
         function(*args)
-    except TverskyCIError:
-        pass
+    except TverskyCIError as exc:
+        assert len(str(exc).encode()) < _MESSAGE_BYTES
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SimulationConfig(_MODEL, _HUGE_INT, 1, _PARAMS),
+        lambda: ConfusionCounts(-_HUGE_INT, 1, 1, 1),
+        lambda: tverskyci.bootstrap_se(_COUNTS, _PARAMS, resamples=_HUGE_INT),
+        lambda: tverskyci.histogram_summary([0.1, 0.2], bins=_HUGE_INT),
+        lambda: _COUNTS.scaled(-_HUGE_INT),
+        lambda: TverskyParams("y" * 2**20, 1.0),
+        lambda: tverskyci.normal_cdf([0.5] * 2**18),
+        lambda: tverskyci.ingest("y" * 2**20),
+    ],
+    ids=["n", "tp", "resamples", "bins", "k", "fp_weight", "x", "path"],
+)
+def test_a_value_too_long_to_echo_gives_a_short_message(call):
+    with pytest.raises(TverskyCIError) as info:
+        call()
+    assert len(str(info.value).encode()) < _MESSAGE_BYTES
