@@ -4,24 +4,25 @@
 is its first line. A regular file is cut just after newlines into one byte
 range per CPU this process may run on, at most ``MAX_WORKERS`` and each at
 least the length ``ingest`` gives, unless other threads run. Each range is
-read in text blocks of at most 16 KiB (unless a line is longer), each cut
-just after a line end and newline-translated, so that ``ingest`` can count
-a block of common rows at once. This process counts the first range after
-that line; forked workers count the others and send their four counts back
-over pipes. If any range fails, ``ingest`` counts the whole file again in
-one process, which reports the error.
+decoded as ``open`` decodes the serial count (``io.TextIOWrapper``), in text
+blocks of 16 Ki characters each taken on to the end of the line it cuts, so
+that ``ingest`` can count a block of common rows at once. This process counts
+the first range after that line; forked workers count the others and send
+their four counts back over pipes. If any range fails, ``ingest`` counts the
+whole file again in one process, which reports the error.
 """
 
 from __future__ import annotations
 
 import _thread
+import io
 import itertools
 import os
 import stat
 from collections.abc import Callable, Iterator
 
 MAX_WORKERS = 8
-_BLOCK = 1 << 14  # bytes a range reader holds at a time
+_BLOCK = 1 << 14  # characters in a range's text block, unless a line is longer
 
 
 def cut(fd: int, min_range: int) -> list[tuple[int, int]]:
@@ -48,51 +49,40 @@ def cut(fd: int, min_range: int) -> list[tuple[int, int]]:
     return ranges if len(ranges) > 1 else []
 
 
+class _Range(io.RawIOBase):
+    """Bytes [start, end) of the file open as fd, each read with os.pread,
+    which leaves the file offset shared with the forked workers alone."""
+
+    def __init__(self, fd: int, start: int, end: int) -> None:
+        self.fd, self.at, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: bytearray | memoryview) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.at), self.at)
+        buffer[: len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
 def _line_end(fd: int, at: int, end: int) -> int:
     """The offset just after the first newline at or after at, or end."""
-    while at < end:
-        block = os.pread(fd, min(_BLOCK, end - at), at)
-        if not block:
-            break
-        newline = block.find(b"\n")
-        if newline >= 0:
-            return at + newline + 1
-        at += len(block)
+    reader = io.BufferedReader(_Range(fd, at, end))
+    while line := reader.readline(_BLOCK):
+        at += len(line)
+        if line.endswith(b"\n"):
+            return at
     return end
 
 
 def _range_blocks(fd: int, start: int, end: int) -> Iterator[str]:
-    r"""The text of bytes [start, end) of the file open as fd in blocks of
-    whole lines, each read with os.pread (which leaves the shared file offset
-    alone), at most _BLOCK bytes unless a line is longer, cut just after a
-    line end, decoded and newline-translated: each line but perhaps the
-    range's last ends at a \n."""
-    at, line = start, []  # line: the pieces of a line longer than _BLOCK
-    while at < end:
-        data = os.pread(fd, min(_BLOCK, end - at), at)
-        if not data:
-            break
-        # A \n ends a line, and so does a \r with a byte after it in this
-        # block (that of a \r\n is the later \n); both are ASCII, so never
-        # inside a UTF-8 character. The range's end ends its last line.
-        cut = len(data)
-        if at + cut < end:
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, cut - 1)) + 1
-        if cut:
-            line.append(data[:cut])
-            yield _text(b"".join(line))
-            line = []
-            at += cut  # the next block starts at the next line
-        else:
-            line.append(data)
-            at += len(data)
-    if line:  # the file ended early
-        yield _text(b"".join(line))
-
-
-def _text(data: bytes) -> str:
-    r"""The UTF-8 text data with each \r\n and lone \r made a \n."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    r"""The text of bytes [start, end) of the file open as fd as open() reads
+    it, in blocks of _BLOCK characters each taken on to the end of the line
+    it cuts: each line but perhaps the range's last ends at a \n."""
+    text = io.TextIOWrapper(_Range(fd, start, end), encoding="utf-8")
+    while block := text.read(_BLOCK):
+        yield block if block[-1] == "\n" else block + text.readline()
 
 
 def count_ranges(

@@ -16,22 +16,23 @@ carrying the 1-based line number; rows are never skipped silently.
 Files are streamed line by line and counted as they are parsed, so memory
 does not grow with the number of rows but with the longest line. Under
 tracemalloc (lines of 1 and 8 MiB) the count in one process peaks at twice
-a line's size for a row it counts and four times for one it rejects; a split
-range peaks at four times for a counted row, five for a score row. A large
-regular file whose header (or first JSON record) is line 1 is counted in
-byte ranges on every CPU, the first in this process (see ``_split``); if
-any range fails, the whole file is counted again in one process, which
-raises the error of the first bad line. A range comes in text blocks of
-whole lines; a block of score rows that are each a bare 0 or 1 label and a
-finite score is counted at once, and any other block goes through the loop
-the one-process count runs. That loop counts common delimited rows by a few
-inline checks that keep no line count and ends in the per-row parser, which
-gets any other row on the spot, so errors are the same; its line number is
-worked out from the header's line number, the rows counted and the blank
-lines skipped. An error quotes at most 64 characters of a value. Input must
-be UTF-8 (a leading byte order mark is ignored); anything else is a
-DataError. Lines end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1
-as an editor numbers them; blank lines are skipped but still counted.
+a line's size for a row it counts and four times for one it rejects; a
+split range peaks at three times for any row it counts. A large regular
+file whose header (or first JSON record) is line 1 is counted in byte
+ranges on every CPU, the first in this process (see ``_split``); if any
+range fails, the whole file is counted again in one process, which raises
+the error of the first bad line. A range comes in text blocks of whole
+lines, decoded as ``open`` decodes the file here; a block of score rows
+that are each a bare 0 or 1 label and a finite score is counted at once,
+and any other block goes through the loop the one-process count runs. That
+loop counts common delimited rows by a few inline checks that keep no line
+count and ends in the per-row parser, which gets any other row on the spot,
+so errors are the same; its line number is worked out from the header's
+line number, the rows counted and the blank lines skipped. An error quotes
+at most 64 characters of a value. Input must be UTF-8 (a leading byte order
+mark is ignored); anything else is a DataError. Lines end at ``\n``,
+``\r\n`` or ``\r`` and are numbered from 1 as an editor numbers them; blank
+lines are skipped but still counted.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def _parse_score(raw: object, where: str) -> float:
     except OverflowError:  # a JSON integer beyond the float range
         value = math.inf
     except (TypeError, ValueError):
-        raise DataError(f"{where}: column 'score' must be a number, got {_quote(raw)}") from None
+        value = None  # raised below, so the error keeps no copy of float's message
+    if value is None:
+        raise DataError(f"{where}: column 'score' must be a number, got {_quote(raw)}")
     if isinstance(raw, bool) or not math.isfinite(value):
         raise DataError(f"{where}: column 'score' must be a finite number, got {_quote(raw)}")
     return value
@@ -109,6 +112,8 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
         raise DataError(f"{path}: cannot read file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:  # open's, for a path holding a NUL
+        raise DataError(f"{_quote(path)}: cannot read file: {exc}") from None
     if not any(cells):
         # Only a header can come without records: every JSON line is one.
         raise DataError(f"{path}: no data rows after the header")
@@ -242,12 +247,12 @@ def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, ce
     False. Each row it counts, the per-line loop would count the same way."""
     if block[-1:] != "\n":
         return False
-    if z_first:  # a \n before each row
-        text, one, zero = "\n" + block, "\n1" + delimiter, "\n0" + delimiter
+    if z_first:  # a \n before each row but the block's first
+        one, zero = "\n1" + delimiter, "\n0" + delimiter
     else:
-        text, one, zero = block, delimiter + "1\n", delimiter + "0\n"
-    ones = text.count(one)
-    rows = ones + text.count(zero)
+        one, zero = delimiter + "1\n", delimiter + "0\n"
+    ones = block.count(one) + (z_first and block.startswith(one[1:]))
+    rows = ones + block.count(zero) + (z_first and block.startswith(zero[1:]))
     # Labels and scores in turn. Each of the rows counted above has its own
     # line and delimiter, so two fields a row means that every line is such
     # a row and has no other delimiter.
@@ -292,14 +297,15 @@ def _json_record(
 ) -> tuple[str, dict, str]:
     """Where line is, its JSON record as decoded by loads (json.loads) and
     the record's value key."""
-    where = f"{path}:{line_no}"
+    where, reason = f"{path}:{line_no}", None
     try:
         record = loads(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         reason = getattr(exc, "msg", str(exc).partition(";")[0])
-        raise DataError(f"{where}: invalid JSON: {reason}") from None
     except RecursionError:
-        raise DataError(f"{where}: invalid JSON: nested too deeply") from None
+        reason = "nested too deeply"
+    if reason is not None:  # raised here, so the error keeps no copy of the line
+        raise DataError(f"{where}: invalid JSON: {reason}")
     if not isinstance(record, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
     keys = set(record)

@@ -143,6 +143,25 @@ def test_short_commands_never_import_process_modules(tmp_path, argv):
     assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
 
 
+def test_a_split_file_loads_only_the_split_module_more(tmp_path):
+    # Ranges are read through io, which the interpreter loads at start, and
+    # counted in workers forked with os; a split file of 2.2 MB on two CPUs
+    # loads what a small file loads, and _split.
+    rows = "1,1\n1,0\n0,1\n0,0\n"
+    (tmp_path / "small.csv").write_text("z,a\n" + rows, encoding="utf-8")
+    (tmp_path / "large.csv").write_text("z,a\n" + rows * 140_000, encoding="utf-8")
+    code = (
+        "import os\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    ) + _RUN_MAIN.replace('"numpy" in sys.modules', "len(forks), *sorted(sys.modules)")
+    code_small, forks_small, *small = _python(code, "ci", "--input", "small.csv", cwd=tmp_path)
+    code_large, forks_large, *large = _python(code, "ci", "--input", "large.csv", cwd=tmp_path)
+    assert (code_small, forks_small, code_large, forks_large) == ("0", "0", "0", "1")
+    assert set(small) ^ set(large) == {"tverskyci._split"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -31,7 +31,7 @@ _POOL = [
     *_SIZES,
     *[-(10**400), -1, 0, 0.0, -0.0, 0.5, 1.0, 2.5, 1e308],
     *[math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308],
-    *[True, False, None, "", "0.5", "nan", "no such file"],
+    *[True, False, None, "", "0.5", "nan", "no such file", "a\0b"],
     *[np.float64(0.5), np.float64(math.nan), np.float32(0.25), np.int64(3), np.int64(-1)],
     *[np.uint64(2**64 - 1), np.bool_(True), np.array(0.5), np.array(2), np.array([])],
     *[np.zeros((0, 2)), np.array([[0.25, 0.5]]), [], [[]], [0.5, 0.75], [[0.5], [0.75]]],
