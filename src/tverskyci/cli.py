@@ -176,7 +176,8 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
         return ingest(args.input, mode=args.mode, threshold=args.threshold)
     if args.counts is not None:
         return ConfusionCounts(*args.counts)
-    raise UsageError("provide --input or --counts")
+    flags = "--summary, --input or --counts" if "summary" in args else "--input or --counts"
+    raise UsageError(f"provide {flags}")
 
 
 def _fields(record: object, *omit: str) -> dict:

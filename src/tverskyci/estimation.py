@@ -30,8 +30,9 @@ Two input paths are first-class: exact confusion counts, or a
 :class:`SummaryStats` tuple (n, tp_rate, tversky, tversky_sq) when only
 summary values are available. Counts give 1/t - 1 and 1/t2 - 1 directly
 as the weighted error ratios (a*fp + b*fn)/tp and (a^2*fp + b^2*fn)/tp,
-which keep every digit however close t is to 1. Summary input is first
-checked against every bound the counts would imply.
+which keep every digit however close t is to 1; one private function
+turns them into the index and variance for counts, cell probabilities and
+replication arrays. Summaries are checked against every bound counts imply.
 
 All functions are pure and thread-safe; values are freely copyable.
 """
@@ -291,12 +292,17 @@ def weighted_error_ratio(counts: ConfusionCounts, params: TverskyParams) -> floa
     it stays accurate when the index is close to 1 (where subtracting from
     the reciprocal would cancel).
     """
+    return _error_ratio(*_positive_counts(counts), params)
+
+
+def _positive_counts(counts: ConfusionCounts) -> tuple[int, int, int]:
+    """The (tp, fn, fp) of counts, which must have true positives."""
     _require_type(counts, ConfusionCounts, "counts")
     if counts.tp == 0:
         raise DegenerateSampleError(
             "sample has no true positives; the index and its variance are undefined"
         )
-    return _error_ratio(counts.tp, counts.fn, counts.fp, params)
+    return counts.tp, counts.fn, counts.fp
 
 
 def _error_ratio(tp, fn, fp, params: TverskyParams):
@@ -365,18 +371,22 @@ _CONSISTENCY_RTOL = 1e-9
 def _index_and_variance(data: object, params: TverskyParams) -> tuple[float, float]:
     _require_type(params, TverskyParams, "params")
     if isinstance(data, ConfusionCounts):
-        r1 = weighted_error_ratio(data, params)
-        r2 = _error_ratio(data.tp, data.fn, data.fp, params.squared())
-        t = 1.0 / (1.0 + r1)
-        tp_rate = data.tp / _require_float_range(data.n)
-    elif isinstance(data, SummaryStats):
-        r1, r2 = _consistent_ratios(data, params)
-        t, tp_rate = data.tversky, data.tp_rate
-    else:
+        cells = _positive_counts(data)
+        return _tversky_and_variance(*cells, data.tp / _require_float_range(data.n), params)
+    if not isinstance(data, SummaryStats):
         raise InvalidParameterError(
             f"expected ConfusionCounts or SummaryStats, got {type(data).__name__}"
         )
-    return t, _finite_variance(_variance_kernel(r1, r2, t, tp_rate))
+    r1, r2 = _consistent_ratios(data, params)
+    return data.tversky, _variance_kernel(r1, r2, data.tversky, data.tp_rate)
+
+
+def _tversky_and_variance(tp, fn, fp, tp_rate, params: TverskyParams):
+    """Index and variance from (tp, fn, fp) with tp > 0, as Python ints, cell
+    probabilities or int64 arrays, and tp_rate = tp/n."""
+    r1 = _error_ratio(tp, fn, fp, params)
+    t = 1.0 / (1.0 + r1)
+    return t, _variance_kernel(r1, _error_ratio(tp, fn, fp, params.squared()), t, tp_rate)
 
 
 def asymptotic_variance(data: ConfusionCounts | SummaryStats, params: TverskyParams) -> float:
@@ -400,7 +410,8 @@ def _variance_kernel(r1, r2, t, tp_rate):
     np.float_power on arrays: the same bits; ``**`` and np.power on arrays
     are not. Where t^4 falls below the smallest normal double (t under
     about 1.2e-77) but r2 + r1^2 is finite, t^2 is folded into each term
-    instead, so the variance does not underflow to 0."""
+    instead, so the variance does not underflow to 0. An index near 0 makes
+    r2 or r1^2 overflow: an inf or nan variance (an array's max) raises."""
     scalar = isinstance(t, float)
     if not scalar:
         import numpy as np  # array callers (the simulation) have loaded it already
@@ -410,16 +421,11 @@ def _variance_kernel(r1, r2, t, tp_rate):
     rt = r1 * t
     scaled = (r2 * t * t + rt * rt) * (t * t) / tp_rate
     variance = numerator * t4 / tp_rate
-    if scalar:
-        return scaled if tiny else variance
-    return np.where(tiny, scaled, variance)
-
-
-def _finite_variance(variance: float) -> float:
-    # An index near 0 makes r2 or r1^2 overflow, giving inf or nan.
-    if not variance < math.inf:
+    variance = (scaled if tiny else variance) if scalar else np.where(tiny, scaled, variance)
+    largest = variance if scalar else float(variance.max(initial=0.0))
+    if not largest < math.inf:
         raise InvalidParameterError(
-            f"the variance is {variance!r}: tversky or tversky_sq is too "
+            f"the variance is {largest!r}: tversky or tversky_sq is too "
             "close to 0 for floating point"
         )
     return variance

@@ -39,13 +39,12 @@ from .estimation import (
     ConfusionCounts,
     TverskyParams,
     _error_ratio,
-    _finite_variance,
     _quote,
     _require_count,
     _require_finite,
     _require_open_unit,
     _require_type,
-    _variance_kernel,
+    _tversky_and_variance,
     normal_cdf,
     normal_quantile,
 )
@@ -127,9 +126,7 @@ def population_index(model: ScoreModel, params: TverskyParams) -> float:
 def population_variance(model: ScoreModel, params: TverskyParams) -> float:
     """Population per-observation variance implied by the model."""
     cells = _positive_cells(model)
-    r1 = _error_ratio(*cells, params)
-    r2 = _error_ratio(*cells, params.squared())
-    return _finite_variance(_variance_kernel(r1, r2, 1.0 / (1.0 + r1), cells[0]))
+    return _tversky_and_variance(*cells, cells[0], params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +193,9 @@ def _intervals(
     # 2**53 both operands are exact in float64, so float64 division agrees;
     # past it, int64 division would round each operand first.
     tp_rate = tp / n if n <= 2**53 else (tp.astype(object) / n).astype(float)
-    # Overflow to inf or nan is expected here; the largest variance is inf
-    # or nan exactly when some row's is, and _finite_variance raises on it.
+    # Overflow to inf or nan is expected here; the variance kernel raises on it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r1 = _error_ratio(tp, fn, fp, params)
-        estimate = 1.0 / (1.0 + r1)
-        r2 = _error_ratio(tp, fn, fp, params.squared())
-        variance = _variance_kernel(r1, r2, estimate, tp_rate)
-        _finite_variance(float(variance.max(initial=0.0)))
+        estimate, variance = _tversky_and_variance(tp, fn, fp, tp_rate, params)
     se = np.sqrt(variance / n)
     half_width = normal_quantile(0.5 * (1.0 + level)) * se
     lower, upper = np.maximum(0.0, estimate - half_width), np.minimum(1.0, estimate + half_width)

@@ -1,10 +1,14 @@
 """Shared references used across test modules: the reference experiment,
-and a plain per-row parser of delimited record files that the faster one
-in ``tverskyci.ingest`` must agree with."""
+the formula oracle of ``perfbench/oracle.py``, exact small-sample moments
+of a simulation by enumeration, and a plain per-row parser of delimited
+record files that the faster one in ``tverskyci.ingest`` must agree with."""
 
 import itertools
 import math
+import types
+from collections import namedtuple
 from collections.abc import Iterator
+from pathlib import Path
 
 from tverskyci import ConfusionCounts, DataError, ScoreModel, SimulationConfig, TverskyParams
 
@@ -20,6 +24,72 @@ REFERENCE_CONFIG = SimulationConfig(
     level=0.95,
     seed=0,
 )
+
+
+def _load_oracle() -> types.ModuleType:
+    # Compiled from its source rather than imported, so that loading it
+    # writes nothing under perfbench/.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    oracle = types.ModuleType("oracle")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), oracle.__dict__)
+    return oracle
+
+
+# The paper's formulas written out without tverskyci: interval, plan_counts,
+# population_index and check, and their tolerance RTOL.
+ORACLE = _load_oracle()
+
+
+# ---------------------------------------------------------------------------
+# Exact small-sample moments of run_simulation's report.
+# ---------------------------------------------------------------------------
+
+ExactMoments = namedtuple(
+    "ExactMoments", "coverage degenerate_rate mean_estimate sd_estimates fourth_moment"
+)
+
+
+def exact_moments(model: ScoreModel, n: int, params: TverskyParams, level: float) -> ExactMoments:
+    """What run_simulation estimates for n records of model, computed exactly.
+
+    Lists every (tp, fn, fp, tn) with tp >= 1 that sums to n, weights each by
+    its multinomial probability under model.cell_probabilities (all four must
+    be positive), and takes its estimate and interval from the oracle. Returns
+    the coverage of the oracle's population index, mean, sd and fourth central
+    moment of the estimate, all given tp >= 1, and P(tp = 0). The samples are
+    listed twice, once for the mean and once for the central moments, so
+    memory does not grow with n; n = 30 has 4 960 of them.
+    """
+    logs = [math.log(p) for p in model.cell_probabilities]
+    a, b = params
+    theta = ORACLE.population_index(model.prevalence, model.shift, model.threshold, a, b)
+
+    def samples() -> Iterator[tuple[float, float, bool]]:  # (probability, estimate, covered)
+        for tp in range(1, n + 1):
+            for fn in range(n - tp + 1):
+                for fp in range(n - tp - fn + 1):
+                    cells = (tp, fn, fp, n - tp - fn - fp)
+                    log_p = math.lgamma(n + 1) + sum(
+                        k * log - math.lgamma(k + 1) for k, log in zip(cells, logs)
+                    )
+                    got = ORACLE.interval(cells, a, b, level)
+                    covered = got["ci_lower"] <= theta <= got["ci_upper"]
+                    yield math.exp(log_p), got["estimate"], covered
+
+    mass = first = covered_mass = 0.0
+    for p, t, covered in samples():
+        mass, first, covered_mass = mass + p, first + p * t, covered_mass + p * covered
+    mean = first / mass
+    second = fourth = 0.0
+    for p, t, _ in samples():
+        second, fourth = second + p * (t - mean) ** 2, fourth + p * (t - mean) ** 4
+    return ExactMoments(
+        coverage=covered_mass / mass,
+        degenerate_rate=(1.0 - model.cell_probabilities[0]) ** n,
+        mean_estimate=mean,
+        sd_estimates=math.sqrt(second / mass),
+        fourth_moment=fourth / mass,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from tverskyci import (
 from tverskyci.cli import main
 from tverskyci.schemas import CI_SCHEMA, PLAN_SCHEMA, SCHEMAS_BY_COMMAND, SIMULATE_SCHEMA
 
+from tests._reference import ORACLE
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -271,6 +273,18 @@ def test_missing_input_is_exit_1(capsys):
     assert "--input or --counts" in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("ci", "--summary, --input or --counts"),
+        ("estimate", "--summary, --input or --counts"),
+        ("bootstrap-check", "--input or --counts"),
+    ],
+)
+def test_missing_input_names_the_flags_the_subcommand_offers(capsys, command, flags):
+    assert run_cli(capsys, command) == (1, "", f"tverskyci: error: provide {flags}\n")
+
+
 def test_data_error_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "estimate", "--input", "/missing/file.csv")
     assert code == 2
@@ -283,6 +297,28 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--input", str(path))
     assert code == 2
     assert "bad.csv:2" in err
+
+
+def test_a_json_line_that_is_not_an_object_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text('{"z": 1, "a": 1}\n[1, 2]\n', encoding="utf-8")
+    message = f"{path}:2: expected a JSON object, got list"
+    assert run_cli(capsys, "ci", "--input", str(path)) == (2, "", f"tverskyci: error: {message}\n")
+
+
+def test_an_input_that_is_a_directory_is_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "ci", "--input", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tverskyci: error: {tmp_path}: cannot read file: ")
+
+
+def test_a_bootstrap_with_mostly_degenerate_resamples_is_exit_3(capsys):
+    # P(tp = 0) is 0.999 ** 1000, about 0.37, per resample; this seed draws 59.
+    result = run_cli(
+        capsys, "bootstrap-check", "--counts", "1,0,0,999", "--resamples", "100", "--seed", "1100"
+    )
+    message = "59 of 100 resamples were degenerate (no true positives)"
+    assert result == (3, "", f"tverskyci: error: {message}\n")
 
 
 def test_degenerate_sample_is_exit_3(capsys):
@@ -536,3 +572,52 @@ def test_ci_of_a_summary_or_as_text_agrees_with_ci_of_counts_as_json(counts, wei
     assert {key: float(value) for key, value in text.items()} == {
         key: round(payload[key], 6) for key in text
     }
+
+
+# The oracle recomputes every printed field from the paper's formulas with
+# no tverskyci code, and reports fields off by more than its ORACLE.RTOL.
+_WEIGHT = st.floats(1e-3, 1e3)
+_WEIGHT_FLAGS = st.one_of(
+    st.tuples(_WEIGHT, _WEIGHT).map(lambda ab: {"ab": ",".join(map(repr, ab))}),
+    _WEIGHT.map(lambda beta: {"beta": repr(beta)}),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    command=st.sampled_from(("ci", "estimate")),
+    counts=st.tuples(st.integers(1, 2**63), *[st.integers(0, 2**63)] * 3),
+    weights=_WEIGHT_FLAGS,
+    # Levels stop short of 1 - 2**-53, the largest float below 1: its
+    # (1+level)/2 rounds to 1, where the oracle's quantile raises (and ci
+    # exits 4, naming the quantile's p).
+    level=st.floats(0.0, 1.0 - 2**-52, exclude_min=True),
+)
+def test_ci_and_estimate_agree_with_the_oracle(command, counts, weights, level):
+    expect = {"command": command, "format": "json", "counts": counts, **weights}
+    if command == "ci":
+        expect["level"] = repr(level)
+    argv = [command, "--counts", ",".join(map(str, counts)), "--format", "json"]
+    for flag in ("ab", "beta", "level"):
+        argv += [f"--{flag}", expect[flag]] if flag in expect else []
+    assert ORACLE.check(expect, _stdout(*argv)) == []
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    max_weight=st.sampled_from(sorted(ORACLE.BOUND_TABLE)),
+    share=st.floats(1e-3, 1.0),
+    fn_is_max=st.booleans(),
+    delta=st.floats(1e-3, 1.0),
+    ez=st.none() | st.floats(1e-3, 1.0),
+)
+def test_plan_at_the_table_weights_agrees_with_the_oracle(max_weight, share, fn_is_max, delta, ez):
+    low = max_weight * share
+    weights = (low, max_weight) if fn_is_max else (max_weight, low)
+    expect = {"command": "plan", "format": "json", "delta": repr(delta)}
+    expect["ab"] = ",".join(map(repr, weights))
+    argv = ["plan", "--delta", expect["delta"], "--ab", expect["ab"], "--format", "json"]
+    if ez is not None:
+        expect["ez"] = repr(ez)
+        argv += ["--ez", expect["ez"]]
+    assert ORACLE.check(expect, _stdout(*argv)) == []

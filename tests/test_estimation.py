@@ -32,6 +32,7 @@ from tverskyci import (
     variance_bound,
     weighted_error_ratio,
 )
+from tverskyci.estimation import _quote
 from tverskyci.simulation import ScoreModel, SimulationConfig
 
 F05 = TverskyParams(0.8, 0.2)
@@ -98,6 +99,22 @@ def test_counts_validation():
         ConfusionCounts(0, 0, 0, 0)
     with pytest.raises(InvalidParameterError):
         ConfusionCounts(1.5, 0, 0, 10)  # type: ignore[arg-type]
+
+
+def test_prediction_rate_and_scaling_by_zero():
+    counts = ConfusionCounts(30, 20, 10, 40)
+    assert counts.prediction_rate == 0.4
+    with pytest.raises(InvalidParameterError, match="^k must be >= 1$"):
+        counts.scaled(0)
+
+
+def test_a_value_that_cannot_be_printed_is_quoted_by_its_type():
+    class B:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    assert _quote(B()) == "a B that cannot be printed"
+    assert _quote([B()]) == "a list that cannot be printed"
 
 
 def test_counts_accept_numpy_integers():

@@ -150,6 +150,15 @@ def test_missing_file():
         ingest("/does/not/exist.csv")
 
 
+def test_a_path_the_system_rejects_is_a_data_error(tmp_path):
+    # A directory, and a name holding a NUL, which open() refuses itself.
+    with pytest.raises(DataError) as directory:
+        ingest(str(tmp_path))
+    assert str(directory.value).startswith(f"{tmp_path}: cannot read file: ")
+    with pytest.raises(DataError, match=r"^'a\\x00b': cannot read file: embedded null byte$"):
+        ingest("a\0b")
+
+
 def test_empty_file(tmp_path):
     path = _write(tmp_path, "empty.csv", "")
     with pytest.raises(DataError, match="empty"):

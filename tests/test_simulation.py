@@ -17,6 +17,7 @@ from tverskyci import (
     asymptotic_variance,
     bootstrap_se,
     confidence_interval,
+    fbeta_to_tversky,
     histogram_summary,
     population_index,
     population_variance,
@@ -24,7 +25,7 @@ from tverskyci import (
     run_simulation,
 )
 from tverskyci import simulation
-from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS
+from tests._reference import REFERENCE_CONFIG, REFERENCE_MODEL, REFERENCE_PARAMS, exact_moments
 
 F05 = TverskyParams(0.8, 0.2)
 
@@ -184,6 +185,43 @@ def test_reference_mean_se_tracks_spread(reference_simulation):
 def test_reference_coverage_near_nominal(reference_simulation):
     report, _ = reference_simulation
     assert 0.94 <= report.coverage <= 0.96
+
+
+_EXACT_REPLICATIONS = 40_000
+
+
+@pytest.mark.parametrize(
+    "model, n, params, seed",
+    [
+        (ScoreModel(0.2, 2.5, 1.25), 20, TverskyParams(0.8, 0.2), 1),
+        (ScoreModel(0.1, 1.5, 0.75), 30, fbeta_to_tversky(1.0), 2),
+        (ScoreModel(0.1, 1.0, 0.5), 12, TverskyParams(0.3, 0.9), 3),
+    ],
+)
+def test_small_sample_simulation_matches_exact_enumeration(model, n, params, seed):
+    # Coverage here is 0.82-0.94, not the nominal 0.95, and 2-42% of the
+    # replications have no true positive: the exact values, which share no
+    # code with run_simulation, are what the simulation must reproduce. Each
+    # value may miss by 4 Monte Carlo standard errors (normal approximation;
+    # the sd's from its delta method). A fresh seed fails one of these 12
+    # comparisons by chance with probability at most 12 * 6.3e-5, under 1e-3.
+    exact = exact_moments(model, n, params, 0.95)
+    config = SimulationConfig(model, n, _EXACT_REPLICATIONS, params, 0.95, seed)
+    report = run_simulation(config)
+    kept = _EXACT_REPLICATIONS - report.degenerate_count
+    sd, p0 = exact.sd_estimates, exact.degenerate_rate
+    checks = {
+        "coverage": (report.coverage, exact.coverage, exact.coverage * (1 - exact.coverage) / kept),
+        "degenerate_rate": (
+            report.degenerate_count / _EXACT_REPLICATIONS, p0, p0 * (1 - p0) / _EXACT_REPLICATIONS
+        ),
+        "mean_estimate": (report.mean_estimate, exact.mean_estimate, sd * sd / kept),
+        "sd_estimates": (
+            report.sd_estimates, sd, (exact.fourth_moment - sd**4) / (4 * sd * sd * kept)
+        ),
+    }
+    for name, (got, want, mc_variance) in checks.items():
+        assert abs(got - want) <= 4 * math.sqrt(mc_variance), (name, got, want)
 
 
 # ---------------------------------------------------------------------------
