@@ -180,32 +180,171 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
     raise UsageError(f"provide {flags}")
 
 
-def _fields(record: object, *omit: str) -> dict:
-    """A result record, a named tuple or one of the simulation's dataclasses,
-    as a JSON object less the fields named in omit. A named tuple held in a
-    field (the params) becomes a nested object, not the list json.dumps prints."""
-    names = getattr(record, "_fields", None) or record.__dataclass_fields__
-    payload = {name: getattr(record, name) for name in names if name not in omit}
-    for name, value in payload.items():
-        if hasattr(value, "_fields"):
-            payload[name] = _fields(value)
-    return payload
+# ---------------------------------------------------------------------------
+# reports: one table per subcommand, with one row per field in text order
+# ---------------------------------------------------------------------------
+# A row is (name, schema, text). The schema is a JSON Schema fragment, or the
+# table of an object field; tverskyci.schemas builds each report's schema
+# from its table. The text is a format spec for the line "name: value" (n/a
+# for null); or a function of the object's fields, as keywords, for a line
+# that shows several of them (no line for a null field); or None for no line.
+
+
+class _MaybeNull(tuple):
+    """The table of an object field that may be null."""
+
+
+class _Items(tuple):
+    """The table of each object in a non-empty array field, whose items are
+    tuples of the row values in row order."""
+
+
+_NUMBER = {"type": "number"}
+_NULLABLE_NUMBER = {"type": ["number", "null"]}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_N = {"type": "integer", "minimum": 1}
+
+_PARAMS = (("fp_weight", _POSITIVE, None), ("fn_weight", _POSITIVE, None))
+_WEIGHTS = "weights: fp={params[fp_weight]:g} fn={params[fn_weight]:g}"
+
+_ESTIMATE = (
+    ("n", _N, ""),
+    ("params", _PARAMS, _WEIGHTS.format),
+    ("estimate", _UNIT, ".6f"),
+    ("precision", _NULLABLE_NUMBER, ".6f"),
+    ("recall", _NULLABLE_NUMBER, ".6f"),
+)
+
+_CI = (
+    ("n", _N, ""),
+    ("params", _PARAMS, _WEIGHTS.format),
+    ("level", {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}, "g"),
+    ("estimate", _UNIT, ".6f"),
+    ("se", _NONNEGATIVE, ".6f"),
+    ("half_width", _NONNEGATIVE, ".6f"),
+    ("ci_lower", _UNIT, "ci: [{ci_lower:.6f}, {ci_upper:.6f}]".format),
+    ("ci_upper", _UNIT, None),
+    ("variance", _NONNEGATIVE, ".6f"),
+)
+
+_PLAN = (
+    ("params", _PARAMS, _WEIGHTS.format),
+    ("target_se", _POSITIVE, "g"),
+    ("bound", _POSITIVE, ".4f"),
+    ("required_events", _N, ""),
+    # null, and so not shown, without --ez
+    ("prevalence", _NULLABLE_NUMBER, "prevalence: {prevalence:g}".format),
+    ("required_total", {"type": ["integer", "null"]}, "required_total: {required_total}".format),
+)
+
+_BOUND_TABLE = (
+    (
+        "rows",
+        _Items((("max_weight", _POSITIVE, None), ("bound", _POSITIVE, None))),
+        lambda rows: "\n".join(
+            ["max_weight  bound"]
+            + ["{max_weight:<10.1f}  {bound:.4f}".format(**row) for row in rows]
+        ),
+    ),
+)
+
+_SIMULATE = (
+    (
+        "config",
+        (
+            (
+                "prevalence",
+                _NUMBER,
+                "model: prevalence={prevalence:g} shift={shift:g} threshold={threshold:g}".format,
+            ),
+            ("shift", _NUMBER, None),
+            ("threshold", _NUMBER, None),
+            ("n", _N, "n: {n}  replications: {replications}  seed: {seed}".format),
+            ("replications", _N, None),
+            ("seed", _COUNT, None),
+            ("params", _PARAMS, (_WEIGHTS + "  level: {level:g}").format),
+            ("level", _NUMBER, None),
+        ),
+        None,
+    ),
+    (
+        "report",
+        (
+            ("true_value", _NUMBER, ".6f"),
+            ("mean_estimate", _NUMBER, ".6f"),
+            ("sd_estimates", _NUMBER, ".6f"),
+            ("mean_se", _NUMBER, ".6f"),
+            ("coverage", _UNIT, ".4f"),
+            ("degenerate_count", _COUNT, ""),
+        ),
+        None,
+    ),
+    (
+        # null when fewer than 2 replications survive
+        "histogram",
+        _MaybeNull(
+            (
+                ("skewness", _NULLABLE_NUMBER, ".6f"),
+                ("excess_kurtosis", _NULLABLE_NUMBER, ".6f"),
+                ("counts", {"type": "array", "items": _COUNT}, None),
+                ("edges", {"type": "array", "items": _NUMBER}, None),
+                ("n", {"type": "integer", "minimum": 2}, None),
+            )
+        ),
+        None,
+    ),
+)
+
+_BOOTSTRAP_CHECK = (
+    ("n", _N, ""),
+    ("params", _PARAMS, _WEIGHTS.format),
+    ("analytic_se", _NONNEGATIVE, ".6f"),
+    ("bootstrap_se", _NONNEGATIVE, ".6f"),
+    ("relative_gap", _NULLABLE_NUMBER, ".6f"),
+    ("resamples", {"type": "integer", "minimum": 100}, None),
+    ("seed", _COUNT, None),
+)
+
+
+def _fields(table: tuple, source: object) -> dict:
+    """The JSON object of a table: each field read from source by name, an
+    object field converted by its own table."""
+    fields = {}
+    for name, schema, _ in table:
+        value = getattr(source, name)
+        if isinstance(schema, _Items):
+            value = [dict(zip((row[0] for row in schema), item)) for item in value]
+        elif isinstance(schema, tuple) and value is not None:
+            value = _fields(schema, value)
+        fields[name] = value
+    return fields
+
+
+def _render(table: tuple, fields: dict | None) -> list[str]:
+    """The text lines of a table's fields; a null object's lines read n/a."""
+    lines = []
+    for name, schema, text in table:
+        value = None if fields is None else fields[name]
+        if isinstance(text, str):
+            lines.append(f"{name}: {'n/a' if value is None else format(value, text)}")
+        elif text is not None:
+            if value is not None:
+                lines.append(text(**fields))
+        elif isinstance(schema, tuple):
+            lines += _render(schema, value)
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (payload, text_lines, warnings)
+# subcommand implementations: each returns (fields, warnings), the fields
+# read by name from a record or namespace
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.6f}"
-
-
-def _weights(params: TverskyParams) -> str:
-    return f"weights: fp={params.fp_weight:g} fn={params.fn_weight:g}"
-
-
-def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
     params = _resolve_params(args)
     data = _resolve_data(args)
     warnings: list[str] = []
@@ -218,26 +357,13 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
         estimate = tversky_index(data, params)
         prec = precision(data)
         rec = recall(data)
-    n = data.n
-    payload = {
-        "command": "estimate",
-        "n": n,
-        "params": _fields(params),
-        "estimate": estimate,
-        "precision": prec,
-        "recall": rec,
-    }
-    lines = [
-        f"n: {n}",
-        _weights(params),
-        f"estimate: {_fmt(estimate)}",
-        f"precision: {_fmt(prec)}",
-        f"recall: {_fmt(rec)}",
-    ]
-    return payload, lines, warnings
+    fields = argparse.Namespace(
+        n=data.n, params=params, estimate=estimate, precision=prec, recall=rec
+    )
+    return fields, warnings
 
 
-def _cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_ci(args: argparse.Namespace) -> tuple[object, list[str]]:
     params = _resolve_params(args)
     report = confidence_interval(_resolve_data(args), params, args.level)
     warnings = []
@@ -246,21 +372,10 @@ def _cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
             "estimate is at the boundary (zero variance); "
             "the normal approximation is uninformative here"
         )
-    payload = {"command": "ci", "params": _fields(params), **_fields(report, "at_boundary")}
-    lines = [
-        f"n: {report.n}",
-        _weights(params),
-        f"level: {report.level:g}",
-        f"estimate: {_fmt(report.estimate)}",
-        f"se: {_fmt(report.se)}",
-        f"half_width: {_fmt(report.half_width)}",
-        f"ci: [{report.ci_lower:.6f}, {report.ci_upper:.6f}]",
-        f"variance: {_fmt(report.variance)}",
-    ]
-    return payload, lines, warnings
+    return argparse.Namespace(params=params, **report._asdict()), warnings
 
 
-def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_plan(args: argparse.Namespace) -> tuple[object, list[str]]:
     from .planning import planning_bound, required_events, required_total
 
     params = _resolve_params(args)
@@ -268,44 +383,25 @@ def _cmd_plan(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
         plan = required_total(args.delta, params, args.ez)
     else:
         plan = required_events(args.delta, params)
-    bound = planning_bound(params)
-    payload = {"command": "plan", "bound": bound, **_fields(plan)}
-    lines = [
-        _weights(params),
-        f"target_se: {plan.target_se:g}",
-        f"bound: {bound:.4f}",
-        f"required_events: {plan.required_events}",
-    ]
-    if plan.required_total is not None:
-        lines.append(f"prevalence: {plan.prevalence:g}")
-        lines.append(f"required_total: {plan.required_total}")
-    return payload, lines, []
+    return argparse.Namespace(bound=planning_bound(params), **plan._asdict()), []
 
 
-def _cmd_bound_table(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_bound_table(args: argparse.Namespace) -> tuple[object, list[str]]:
     from .planning import bound_table
 
-    rows = bound_table()
-    payload = {
-        "command": "bound-table",
-        "rows": [{"max_weight": m, "bound": v} for m, v in rows],
-    }
-    lines = ["max_weight  bound"]
-    lines += [f"{m:<10.1f}  {v:.4f}" for m, v in rows]
-    return payload, lines, []
+    return argparse.Namespace(rows=bound_table()), []
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
     # simulation loads numpy; only this command and bootstrap-check import it
     from .simulation import ScoreModel, SimulationConfig, histogram_summary, run_simulation
 
-    params = _resolve_params(args)
     model = ScoreModel(prevalence=args.pz, shift=args.mu, threshold=args.threshold)
     config = SimulationConfig(
         model=model,
         n=args.n,
         replications=args.replications,
-        params=params,
+        params=_resolve_params(args),
         level=args.level,
         seed=args.seed,
     )
@@ -320,64 +416,37 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]
         )
     if histogram is None:
         warnings.append("fewer than 2 usable replications; histogram diagnostics omitted")
-    payload = {
-        "command": "simulate",
-        "config": {**_fields(model), **_fields(config, "model")},
-        "report": _fields(report, "estimates"),
-        "histogram": None if histogram is None else _fields(histogram),
-    }
-    lines = [
-        f"model: prevalence={model.prevalence:g} shift={model.shift:g} "
-        f"threshold={model.threshold:g}",
-        f"n: {config.n}  replications: {config.replications}  seed: {config.seed}",
-        f"{_weights(params)}  level: {config.level:g}",
-        f"true_value: {_fmt(report.true_value)}",
-        f"mean_estimate: {_fmt(report.mean_estimate)}",
-        f"sd_estimates: {_fmt(report.sd_estimates)}",
-        f"mean_se: {_fmt(report.mean_se)}",
-        f"coverage: {report.coverage:.4f}",
-        f"degenerate_count: {report.degenerate_count}",
-        f"skewness: {_fmt(None if histogram is None else histogram.skewness)}",
-        f"excess_kurtosis: {_fmt(None if histogram is None else histogram.excess_kurtosis)}",
-    ]
-    return payload, lines, warnings
+    config = argparse.Namespace(**vars(model), **vars(config))
+    return argparse.Namespace(config=config, report=report, histogram=histogram), warnings
 
 
-def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[dict, list[str], list[str]]:
+def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[object, list[str]]:
     from .simulation import bootstrap_se
 
     params = _resolve_params(args)
     counts = _resolve_data(args)
-    report = confidence_interval(counts, params)
+    se = confidence_interval(counts, params).se
     boot = bootstrap_se(counts, params, resamples=args.resamples, seed=args.seed)
-    gap = (boot - report.se) / report.se if report.se > 0 else None
-    payload = {
-        "command": "bootstrap-check",
-        "n": counts.n,
-        "params": _fields(params),
-        "analytic_se": report.se,
-        "bootstrap_se": boot,
-        "relative_gap": gap,
-        "resamples": args.resamples,
-        "seed": args.seed,
-    }
-    lines = [
-        f"n: {counts.n}",
-        _weights(params),
-        f"analytic_se: {_fmt(report.se)}",
-        f"bootstrap_se: {_fmt(boot)}",
-        f"relative_gap: {_fmt(gap)}",
-    ]
-    return payload, lines, []
+    fields = argparse.Namespace(
+        n=counts.n,
+        params=params,
+        analytic_se=se,
+        bootstrap_se=boot,
+        relative_gap=(boot - se) / se if se > 0 else None,
+        resamples=args.resamples,
+        seed=args.seed,
+    )
+    return fields, []
 
 
+# Each subcommand's function and report table.
 _COMMANDS = {
-    "estimate": _cmd_estimate,
-    "ci": _cmd_ci,
-    "plan": _cmd_plan,
-    "bound-table": _cmd_bound_table,
-    "simulate": _cmd_simulate,
-    "bootstrap-check": _cmd_bootstrap_check,
+    "estimate": (_cmd_estimate, _ESTIMATE),
+    "ci": (_cmd_ci, _CI),
+    "plan": (_cmd_plan, _PLAN),
+    "bound-table": (_cmd_bound_table, _BOUND_TABLE),
+    "simulate": (_cmd_simulate, _SIMULATE),
+    "bootstrap-check": (_cmd_bootstrap_check, _BOOTSTRAP_CHECK),
 }
 
 
@@ -387,19 +456,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command, table = _COMMANDS[args.command]
     try:
-        payload, lines, warnings = _COMMANDS[args.command](args)
+        source, warnings = command(args)
     except TverskyCIError as exc:
         print(f"tverskyci: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    fields = _fields(table, source)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"command": args.command, **fields}, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(_render(table, fields)))
     return 0
 
 
