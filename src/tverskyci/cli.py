@@ -310,8 +310,9 @@ _BOOTSTRAP_CHECK = (
 
 
 def _fields(table: tuple, source: object) -> dict:
-    """The JSON object of a table: each field read from source by name, an
-    object field converted by its own table."""
+    """The JSON object of a table: each field read from source by name. An
+    object field is converted by its own table, and each tuple in an array
+    field by its table's rows in order."""
     fields = {}
     for name, schema, _ in table:
         value = getattr(source, name)
@@ -339,8 +340,8 @@ def _render(table: tuple, fields: dict | None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (fields, warnings), the fields
-# read by name from a record or namespace
+# subcommand implementations: each returns (source, warnings), where source
+# is a record or namespace that holds its report's fields by name
 # ---------------------------------------------------------------------------
 
 
@@ -357,10 +358,10 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
         estimate = tversky_index(data, params)
         prec = precision(data)
         rec = recall(data)
-    fields = argparse.Namespace(
+    source = argparse.Namespace(
         n=data.n, params=params, estimate=estimate, precision=prec, recall=rec
     )
-    return fields, warnings
+    return source, warnings
 
 
 def _cmd_ci(args: argparse.Namespace) -> tuple[object, list[str]]:
@@ -416,6 +417,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
         )
     if histogram is None:
         warnings.append("fewer than 2 usable replications; histogram diagnostics omitted")
+    # The config object shows the model's fields beside the config's own.
     config = argparse.Namespace(**vars(model), **vars(config))
     return argparse.Namespace(config=config, report=report, histogram=histogram), warnings
 
@@ -427,7 +429,7 @@ def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[object, list[str]]:
     counts = _resolve_data(args)
     se = confidence_interval(counts, params).se
     boot = bootstrap_se(counts, params, resamples=args.resamples, seed=args.seed)
-    fields = argparse.Namespace(
+    source = argparse.Namespace(
         n=counts.n,
         params=params,
         analytic_se=se,
@@ -436,7 +438,7 @@ def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[object, list[str]]:
         resamples=args.resamples,
         seed=args.seed,
     )
-    return fields, []
+    return source, []
 
 
 # Each subcommand's function and report table.

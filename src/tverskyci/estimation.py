@@ -222,9 +222,10 @@ class TverskyParams(_record("fp_weight fn_weight")):
         """Weights squared component-wise; used by the variance formula."""
         try:
             return TverskyParams(self.fp_weight**2, self.fn_weight**2)
-        except OverflowError:
+        except (OverflowError, InvalidParameterError) as exc:  # the constructor rejects 0.0
+            way = "overflow" if isinstance(exc, OverflowError) else "underflow"
             raise InvalidParameterError(
-                f"weights ({self.fp_weight:g}, {self.fn_weight:g}) overflow when squared"
+                f"weights ({self.fp_weight:g}, {self.fn_weight:g}) {way} when squared"
             ) from None
 
 
@@ -464,6 +465,14 @@ def _consistent_ratios(stats: SummaryStats, params: TverskyParams) -> tuple[floa
     return r1, r2
 
 
+def _critical_value(level: float) -> float:
+    """z = normal_quantile((1+level)/2) for a level in (0, 1). Where (1+level)/2
+    rounds to 1 (level 1 - 2**-53), z comes from the lower tail instead; only
+    there, as the lower tail gives other bits at most levels."""
+    p = 0.5 * (1.0 + level)
+    return normal_quantile(p) if p < 1.0 else -normal_quantile(0.5 * (1.0 - level))
+
+
 def confidence_interval(
     data: ConfusionCounts | SummaryStats,
     params: TverskyParams,
@@ -479,7 +488,7 @@ def confidence_interval(
     level = _require_open_unit(level, "level")
     estimate, variance = _index_and_variance(data, params)
     se = math.sqrt(variance / data.n)
-    half_width = normal_quantile(0.5 * (1.0 + level)) * se
+    half_width = _critical_value(level) * se
     return EstimateReport(
         estimate=estimate,
         variance=variance,

@@ -38,6 +38,7 @@ from .errors import DegenerateSampleError, InvalidParameterError
 from .estimation import (
     ConfusionCounts,
     TverskyParams,
+    _critical_value,
     _error_ratio,
     _quote,
     _require_count,
@@ -46,7 +47,6 @@ from .estimation import (
     _require_type,
     _tversky_and_variance,
     normal_cdf,
-    normal_quantile,
 )
 
 __all__ = [
@@ -197,7 +197,7 @@ def _intervals(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         estimate, variance = _tversky_and_variance(tp, fn, fp, tp_rate, params)
     se = np.sqrt(variance / n)
-    half_width = normal_quantile(0.5 * (1.0 + level)) * se
+    half_width = _critical_value(level) * se
     lower, upper = np.maximum(0.0, estimate - half_width), np.minimum(1.0, estimate + half_width)
     return estimate, se, lower, upper
 

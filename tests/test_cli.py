@@ -395,6 +395,7 @@ def test_simulate_draws_once(capsys, monkeypatch):
         ("ci", "--counts", f"1,0,0,{10**400}"),
         ("ci", "--counts", f"1,0,0,{10**310}"),
         ("ci", "--summary", f"{10**400},0.5,0.8,0.8", "--ab", "1,1"),
+        ("ci", "--counts", "5,1,1,3", "--ab", "1e-200,1"),
     ],
 )
 def test_out_of_range_inputs_are_exit_4(capsys, argv):
@@ -402,6 +403,25 @@ def test_out_of_range_inputs_are_exit_4(capsys, argv):
     assert code == 4
     assert out == ""
     assert err.startswith("tverskyci: error: ") and err.count("\n") == 1
+
+
+def test_a_weight_whose_square_underflows_is_named_in_the_message(capsys):
+    message = "weights (1e-200, 1) underflow when squared"
+    result = run_cli(capsys, "ci", "--counts", "5,1,1,3", "--ab", "1e-200,1")
+    assert result == (4, "", f"tverskyci: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["ci", "simulate"])
+def test_the_largest_level_below_1_has_an_interval(capsys, command):
+    # 1 - 2**-53: (1 + level)/2 rounds to 1, so z = -normal_quantile(2**-54).
+    level = "0.9999999999999999"
+    data = ("--counts", "5,1,1,3") if command == "ci" else ("--n", "50", "--replications", "20")
+    payload, err = run_json(capsys, command, *data, "--level", level)
+    assert err == ""
+    if command == "ci":
+        assert payload["half_width"] / payload["se"] == pytest.approx(8.292361075813595, rel=4e-16)
+    else:
+        assert payload["config"]["level"] == float(level)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +491,36 @@ def test_dataclass_payloads_have_exactly_the_schema_fields():
     assert config == properties(simulate["config"])
     assert _fields(SimulationReport, "estimates") == properties(simulate["report"])
     assert _fields(HistogramSummary) == properties(simulate["histogram"]["anyOf"][1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--counts", "30,20,10,40"),
+        ("ci", "--counts", "30,20,10,40"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+        ("simulate", "--n", "50", "--replications", "20"),
+        ("simulate", "--n", "50", "--replications", "1"),
+        ("bootstrap-check", "--counts", "30,20,10,40", "--resamples", "1000"),
+    ],
+    ids=" ".join,
+)
+def test_every_payload_has_exactly_its_schema_fields(capsys, argv):
+    # Each object in a payload, nested ones included, has the properties of
+    # its schema: a null histogram matches the null branch, with none.
+    def keys_match(value, schema):
+        checked = 0
+        for option in schema.get("anyOf", [schema]):
+            if option.get("type") == "object" and isinstance(value, dict):
+                assert set(value) == set(option["properties"])
+                checked += 1 + sum(keys_match(v, option["properties"][k]) for k, v in value.items())
+            elif option.get("type") == "array" and isinstance(value, list):
+                checked += sum(keys_match(item, option["items"]) for item in value)
+        return checked
+
+    payload, _ = run_json(capsys, *argv)
+    assert keys_match(payload, SCHEMAS_BY_COMMAND[argv[0]]) >= 2  # the report and a nested object
 
 
 def _run_process(*argv, stdin=None):

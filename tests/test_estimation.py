@@ -108,6 +108,20 @@ def test_prediction_rate_and_scaling_by_zero():
         counts.scaled(0)
 
 
+def test_scaling_by_one_gives_the_same_counts():
+    counts = ConfusionCounts(30, 20, 10, 40)
+    assert counts.scaled(1) == counts
+
+
+@pytest.mark.parametrize("length", [63, 64])
+def test_a_value_up_to_the_quote_limit_is_quoted_whole(length):
+    assert _quote("x" * length) == repr("x" * length)
+
+
+def test_a_value_one_past_the_quote_limit_is_cut():
+    assert _quote("x" * 65) == f"{'x' * 64!r}... (65 characters)"
+
+
 def test_a_value_that_cannot_be_printed_is_quoted_by_its_type():
     class B:
         def __repr__(self):
@@ -136,6 +150,12 @@ def test_squared_weight_overflow_is_parameter_error(a, b):
         TverskyParams(a, b).squared()
     with pytest.raises(InvalidParameterError, match="overflow when squared"):
         confidence_interval(ConfusionCounts(1, 1, 1, 1), TverskyParams(a, b))
+
+
+def test_squared_weight_underflow_names_the_weights():
+    message = r"^weights \(1e-200, 1\) underflow when squared$"
+    with pytest.raises(InvalidParameterError, match=message):
+        TverskyParams(1e-200, 1.0).squared()
 
 
 @pytest.mark.parametrize(
@@ -269,6 +289,14 @@ def test_ci_invariants_random_counts():
         assert report.variance >= 0.0
         z = normal_quantile(0.5 * (1.0 + level))
         assert report.half_width == pytest.approx(z * report.se, rel=1e-14)
+
+
+def test_the_largest_level_below_1_takes_z_from_the_lower_tail():
+    # At level 1 - 2**-53, (1 + level)/2 rounds to 1, where no quantile exists;
+    # z = -normal_quantile((1 - level)/2) = -normal_quantile(2**-54) does.
+    report = confidence_interval(RETAIL_STATS, F05, 1.0 - 2**-53)
+    assert report.half_width / report.se == pytest.approx(8.292361075813595, rel=4e-16)
+    assert report.level == 0.9999999999999999
 
 
 def test_ci_level_validation():
@@ -408,6 +436,61 @@ def test_variance_rejects_index_below_rate_bound():
     # 1/t - 1 = 1 but max_weight * (1/tp_rate - 1) = 1/99
     with pytest.raises(InvalidParameterError, match="tp_rate"):
         asymptotic_variance(SummaryStats(100, 0.99, 0.5, 0.6), TverskyParams(0.5, 1.0))
+
+
+# Each summary check allows a slack of 1e-9 times the reciprocals it is
+# computed from. For a fraction f, each entry gives the (params, tp_rate,
+# tversky, tversky_sq) of a summary that exceeds its bound by f times that
+# slack; u = 1/t and r = u - 1 as in _consistent_ratios.
+_TOL = 1e-9
+_AT_SLACK = {
+    # r2 - 2 * r1 = f * tol * (u2 + 2 * u1), with u1 = 2 and r1 = 1
+    "above the max weight": lambda f: (
+        TverskyParams(0.5, 2.0), 0.25, 0.5, (1 - f * _TOL) / (3 + 4 * f * _TOL)
+    ),
+    # 0.5 * r1 - r2 = f * tol * (u2 + 0.5 * u1), with u1 = 2 and r1 = 1
+    "below the min weight": lambda f: (
+        TverskyParams(0.5, 2.0), 0.25, 0.5, (1 + f * _TOL) / (1.5 - f * _TOL)
+    ),
+    # r1 - (1/tp_rate - 1) = f * tol * (u1 + 1/tp_rate), with tp_rate = 0.5
+    "past the rate bound": lambda f: (
+        TverskyParams(1.0, 1.0), 0.5, *[(1 - f * _TOL) / (2 + 2 * f * _TOL)] * 2
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", _AT_SLACK)
+def test_a_summary_within_the_slack_of_a_bound_passes(bound):
+    params, tp_rate, tversky, tversky_sq = _AT_SLACK[bound](0.99)
+    assert asymptotic_variance(SummaryStats(100, tp_rate, tversky, tversky_sq), params) > 0.0
+
+
+@pytest.mark.parametrize("bound", _AT_SLACK)
+def test_a_summary_just_past_the_slack_of_a_bound_is_rejected(bound):
+    params, tp_rate, tversky, tversky_sq = _AT_SLACK[bound](1.01)
+    with pytest.raises(InvalidParameterError, match="^inconsistent summary statistics: "):
+        asymptotic_variance(SummaryStats(100, tp_rate, tversky, tversky_sq), params)
+
+
+def test_the_ratio_of_an_inconsistent_summary_is_reported():
+    # (1/0.7 - 1) / (1/0.8 - 1) = 0.428571 / 0.25
+    message = (
+        r"^inconsistent summary statistics: \(1/tversky_sq - 1\)/\(1/tversky - 1\) "
+        r"= 1\.71429 lies outside the weight range \[0\.2, 0\.8\]$"
+    )
+    with pytest.raises(InvalidParameterError, match=message):
+        asymptotic_variance(SummaryStats(100, 0.5, 0.8, 0.7), F05)
+
+
+@pytest.mark.parametrize(
+    "tversky, tversky_sq, variance", [(0.5, 5e-324, "inf"), (5e-324, 0.5, "nan")]
+)
+def test_a_summary_index_at_the_float_floor_fails_on_its_variance(tversky, tversky_sq, variance):
+    # 1/5e-324 is inf, and so is each bound of the summary checks, which an
+    # inf does not exceed; the variance kernel is the one to reject it.
+    stats = SummaryStats(100, 0.25, tversky, tversky_sq)
+    with pytest.raises(InvalidParameterError, match=f"^the variance is {variance}: "):
+        asymptotic_variance(stats, TverskyParams(0.5, 2.0))
 
 
 @settings(deadline=None, max_examples=300)

@@ -129,6 +129,29 @@ def test_single_replication():
     assert report.degenerate_count == 0
 
 
+def test_two_replications_give_their_sample_spread():
+    report = run_simulation(_small_config(replications=2))
+    assert report.degenerate_count == 0
+    assert report.sd_estimates > 0.0
+    assert report.sd_estimates == float(np.std(report.estimates, ddof=1))
+
+
+def test_a_perfect_model_covers_its_true_value_with_a_zero_width_interval():
+    # Every replication of this model has fn = fp = 0, so its interval is
+    # [1, 1], which covers the true value 1 at both ends.
+    model = ScoreModel(0.5, 50.0, 40.0)
+    assert model.cell_probabilities == (0.5, 0.0, 0.0, 0.5)
+    config = _small_config(model=model, n=20, replications=30)
+    report = run_simulation(config)
+    assert (report.true_value, report.coverage, report.mean_se) == (1.0, 1.0, 0.0)
+
+
+def test_the_largest_level_below_1_gives_intervals():
+    # At 1 - 2**-53, (1 + level)/2 rounds to 1; z comes from the lower tail.
+    report = run_simulation(_small_config(level=1.0 - 2**-53))
+    assert report.coverage == 1.0
+
+
 def test_estimates_align_with_report():
     config = _small_config()
     report = run_simulation(config)
@@ -254,6 +277,12 @@ def test_bootstrap_agrees_with_analytic_se(counts, params):
     assert abs(boot - analytic) / analytic < 0.10
 
 
+def test_bootstrap_with_exactly_half_its_resamples_degenerate():
+    # Seed 81 draws tp = 0 in exactly 50 of the 100 resamples; more than half
+    # is the error. Each kept resample has fn = fp = 0, so every index is 1.
+    assert bootstrap_se(ConfusionCounts(1, 0, 0, 999), TverskyParams(0.5, 0.5), resamples=100, seed=81) == 0.0
+
+
 def test_bootstrap_validation():
     counts = ConfusionCounts(300, 60, 40, 600)
     with pytest.raises(InvalidParameterError):
@@ -332,6 +361,11 @@ def test_histogram_symmetric_two_point_sample():
     assert summary.skewness == pytest.approx(0.0, abs=1e-12)
     assert summary.counts[0] == 500
     assert summary.counts[-1] == 500
+
+
+def test_histogram_of_a_2d_array_is_that_of_its_values():
+    estimates = np.array([[0.1, 0.4, 0.2], [0.9, 0.3, 0.35]])
+    assert histogram_summary(estimates, bins=4) == histogram_summary(estimates.ravel(), bins=4)
 
 
 def test_histogram_validation():
