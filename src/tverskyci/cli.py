@@ -184,8 +184,8 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
 # reports: one table per subcommand, with one row per field in text order
 # ---------------------------------------------------------------------------
 # A row is (name, schema, text). The schema is a JSON Schema fragment, or the
-# table of an object field; tverskyci.schemas builds each report's schema
-# from its table. The text is a format spec for the line "name: value" (n/a
+# table of an object field; _fields, _render and _schema read this layout,
+# and report_schemas() builds each report's schema from its table. The text is a format spec for the line "name: value" (n/a
 # for null); or a function of the object's fields, as keywords, for a line
 # that shows several of them (no line for a null field); or None for no line.
 
@@ -339,6 +339,23 @@ def _render(table: tuple, fields: dict | None) -> list[str]:
     return lines
 
 
+def _schema(schema: object) -> dict:
+    """A row's JSON Schema: its fragment, or the closed object of its table."""
+    if not isinstance(schema, tuple):
+        return schema
+    closed = {
+        "type": "object",
+        "properties": {name: _schema(fragment) for name, fragment, _ in schema},
+        "required": [name for name, _, _ in schema],
+        "additionalProperties": False,
+    }
+    if isinstance(schema, _Items):
+        return {"type": "array", "minItems": 1, "items": closed}
+    if isinstance(schema, _MaybeNull):
+        return {"anyOf": [{"type": "null"}, closed]}
+    return closed
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (source, warnings), where source
 # is a record or namespace that holds its report's fields by name
@@ -397,12 +414,13 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
     # simulation loads numpy; only this command and bootstrap-check import it
     from .simulation import ScoreModel, SimulationConfig, histogram_summary, run_simulation
 
+    params = _resolve_params(args)
     model = ScoreModel(prevalence=args.pz, shift=args.mu, threshold=args.threshold)
     config = SimulationConfig(
         model=model,
         n=args.n,
         replications=args.replications,
-        params=_resolve_params(args),
+        params=params,
         level=args.level,
         seed=args.seed,
     )
@@ -450,6 +468,15 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, _SIMULATE),
     "bootstrap-check": (_cmd_bootstrap_check, _BOOTSTRAP_CHECK),
 }
+
+
+def report_schemas() -> dict:
+    """The JSON Schema of each subcommand's report: a closed object of its
+    table's fields, every one required, plus the ``command`` tag."""
+    return {
+        command: _schema((("command", {"const": command}, None), *table))
+        for command, (_, table) in _COMMANDS.items()
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+TIMEOUT = 600  # seconds per mutant; a swapped loop bound can hang
 SWAPS = {
     ast.Add: ast.Sub,
     ast.Sub: ast.Add,
@@ -87,22 +88,26 @@ def mutants(module: str) -> list[tuple[str, str]]:
     the unmutated file."""
     name = f"{module}.py"
     source = (ROOT / "src" / "tverskyci" / name).read_text(encoding="utf-8")
+    tree = ast.parse(source)
     out = []
-    for index in range(len(_sites(ast.parse(source)))):
-        tree = ast.parse(source)  # a fresh tree, so each mutant changes one operator
-        node, position = _sites(tree)[index]
+    for node, position in _sites(tree):
+        # Swap the operator, write the tree out, and put the operator back.
         if position is None:
             left, old = node.left, node.op
             node.op = new = SWAPS[type(old)]()
+            mutated = ast.unparse(tree)
+            node.op = old
         else:
             left, old = ([node.left, *node.comparators][position], node.ops[position])
             node.ops[position] = new = SWAPS[type(old)]()
+            mutated = ast.unparse(tree)
+            node.ops[position] = old
         where = f"{name}:{left.end_lineno}:{left.end_col_offset}"
-        out.append((f"{where}:{type(old).__name__}>{type(new).__name__}", ast.unparse(tree)))
+        out.append((f"{where}:{type(old).__name__}>{type(new).__name__}", mutated))
     return out
 
 
-def _run(copy: Path, ident: str, source: str, tests: list[str], timeout: float) -> dict:
+def _run(copy: Path, ident: str, source: str, tests: list[str]) -> dict:
     target = copy / "src" / "tverskyci" / ident.split(":")[0]
     original = target.read_text(encoding="utf-8")
     target.write_text(source, encoding="utf-8")
@@ -111,7 +116,7 @@ def _run(copy: Path, ident: str, source: str, tests: list[str], timeout: float) 
     start = time.perf_counter()
     try:
         result = subprocess.run(
-            command + tests, cwd=copy, env=env, capture_output=True, timeout=timeout
+            command + tests, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT
         )
         status = "survived" if result.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
@@ -129,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tests", nargs="+", metavar="FILE", help="test files (default: every tier-1 file)"
     )
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per mutant")
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
@@ -158,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         def run(mutant: tuple[str, str]) -> dict:
             copy = copies.get()
             try:
-                return _run(copy, *mutant, tests, args.timeout)
+                return _run(copy, *mutant, tests)
             finally:
                 copies.put(copy)
 

@@ -411,6 +411,12 @@ def test_a_weight_whose_square_underflows_is_named_in_the_message(capsys):
     assert result == (4, "", f"tverskyci: error: {message}\n")
 
 
+def test_simulate_checks_the_weights_before_the_model(capsys):
+    # Both --pz and --beta are out of range; the weight is reported.
+    result = run_cli(capsys, "simulate", "--pz", "2", "--beta", "0")
+    assert result == (4, "", "tverskyci: error: beta must be finite and > 0, got 0.0\n")
+
+
 @pytest.mark.parametrize("command", ["ci", "simulate"])
 def test_the_largest_level_below_1_has_an_interval(capsys, command):
     # 1 - 2**-53: (1 + level)/2 rounds to 1, so z = -normal_quantile(2**-54).
