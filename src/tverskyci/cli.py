@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -29,7 +30,20 @@ from .estimation import (
 )
 
 
+# How a number starts after its minus sign; no option is spelled this way.
+_NUMBER_STARTS = (*"0123456789", *(f".{digit}" for digit in "0123456789"), "inf", "nan")
+
+
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string: str):
+        # An argument that starts like a negative number is a value, so that
+        # --threshold -1e-3, --mu -inf and --ab -1,2 parse as --flag=value
+        # does; argparse's own pattern takes fewer forms (on Python 3.11 only
+        # -1 and -1.5).
+        if arg_string[:1] == "-" and arg_string[1:].lower().startswith(_NUMBER_STARTS):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message: str) -> None:  # argparse default exits 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -494,12 +508,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     fields = _fields(table, source)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.format == "json":
-        import json
+    try:
+        if args.format == "json":
+            import json
 
-        print(json.dumps({"command": args.command, **fields}, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_render(table, fields)))
+            print(json.dumps({"command": args.command, **fields}, indent=2, sort_keys=True))
+        else:
+            print("\n".join(_render(table, fields)))
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader has closed stdout: end without a traceback, with devnull
+        # under stdout so that the interpreter's exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -40,7 +40,6 @@ All functions are pure and thread-safe; values are freely copyable.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import namedtuple
 
@@ -64,10 +63,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# numpy scalars pass as numbers.Integral / numbers.Real; the builtins come
-# first because isinstance stops at them before the slower ABC check.
-_INTEGRAL = (int, numbers.Integral)
-_REAL = (float, int, numbers.Real)
 # The record-file modes of ingest, here so the CLI can offer them without
 # loading ingest.
 MODES = ("auto", "prediction", "score")
@@ -96,8 +91,17 @@ def _quote(value: object) -> str:
     return f"{quoted(text[:_QUOTED])}... ({len(text)} characters)"
 
 
+def _is_number(value: object, kind: str) -> bool:
+    """Whether value is a numbers.Integral or numbers.Real (kind names which),
+    as numpy scalars and Fraction are. The callers test int and float first,
+    so a command that passes only those never loads numbers."""
+    import numbers
+
+    return isinstance(value, getattr(numbers, kind))
+
+
 def _require_count(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, _INTEGRAL):
+    if isinstance(value, bool) or not (isinstance(value, int) or _is_number(value, "Integral")):
         raise InvalidParameterError(f"{name} must be an integer, got {_quote(value)}")
     out = int(value)
     if out < 0:
@@ -106,7 +110,9 @@ def _require_count(value: object, name: str) -> int:
 
 
 def _require_real(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, _REAL):
+    if isinstance(value, bool) or not (
+        isinstance(value, (float, int)) or _is_number(value, "Real")
+    ):
         raise InvalidParameterError(f"{name} must be a number, got {_quote(value)}")
     try:
         return float(value)
@@ -513,13 +519,20 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF: the standard library's
-    statistics.NormalDist().inv_cdf (Wichura's AS241, Appl. Statist. 1988).
+    """Inverse standard normal CDF by Wichura's AS241 (Appl. Statist. 1988),
+    computed by CPython's C module _statistics. statistics.NormalDist().inv_cdf(p)
+    is that same call, so the bits are the standard library's, without the
+    ~3.7 ms import of statistics (which loads fractions and decimal). Where
+    _statistics is missing, as outside CPython, NormalDist gives the value.
 
     Against mpmath at 360 digits it stays within 2.8 * eps * |x| on the
     999 levels k/1000, near p = 0.5, and in the tails down to p = 1e-300.
     """
     p = _require_open_unit(p, "p")
-    from statistics import NormalDist  # not at the top: it costs ~4 ms to import
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
 
-    return NormalDist().inv_cdf(p)
+        return NormalDist().inv_cdf(p)
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)

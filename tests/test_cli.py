@@ -23,7 +23,7 @@ from tverskyci import (
     TverskyParams,
     replication_estimates,
 )
-from tverskyci.cli import main
+from tverskyci.cli import build_parser, main
 from tverskyci.schemas import CI_SCHEMA, PLAN_SCHEMA, SCHEMAS_BY_COMMAND, SIMULATE_SCHEMA
 
 from tests._reference import ORACLE
@@ -529,7 +529,7 @@ def test_every_payload_has_exactly_its_schema_fields(capsys, argv):
     assert keys_match(payload, SCHEMAS_BY_COMMAND[argv[0]]) >= 2  # the report and a nested object
 
 
-def _run_process(*argv, stdin=None):
+def _run_process(*argv, stdin=None, stdout=subprocess.PIPE):
     """Run the CLI as its own process on the checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -537,7 +537,8 @@ def _run_process(*argv, stdin=None):
         [sys.executable, "-m", "tverskyci.cli", *argv],
         env={**os.environ, "PYTHONPATH": path},
         input=stdin,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
@@ -578,6 +579,69 @@ def test_bad_row_read_from_a_pipe_is_reported_once_with_its_line():
     assert result.stderr == (
         "tverskyci: error: /dev/stdin:4: column 'score' must be a number, got 'abc'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "50", "--replications", "20", "--format", "json"),
+        ("ci", "--counts", "300,60,40,600"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_pipe_ends_quietly_with_exit_1(argv):
+    # The read end is closed before the CLI starts, so its report cannot be
+    # written; the CLI says nothing more, and its exit flush stays quiet.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _run_process(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, "")
+
+
+# A value for each float and comma flag of each subcommand, beside flags
+# that make the rest of the command valid.
+_BASES = {
+    "estimate": {"--input": "scores.csv"},
+    "ci": {"--input": "scores.csv"},
+    "plan": {"--delta": "0.02"},
+    "simulate": {"--n": "20", "--replications": "5"},
+    "bootstrap-check": {"--input": "scores.csv", "--resamples": "100"},
+}
+_NEGATIVE = ("-1", "-0", "-.5", "-1e-3", "-1E+2", "-inf", "-Infinity", "-NaN")
+
+
+def _number_flags():
+    """(subcommand, flag, fields) for each option whose value is a float
+    (fields 1) or comma-separated fields, read from the parser."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    for command, sub in subcommands.items():
+        for action in sub._actions:
+            if action.type is float:
+                yield command, action.option_strings[0], 1
+            elif getattr(action.type, "__qualname__", "").startswith("_comma_fields"):
+                yield command, action.option_strings[0], action.metavar.count(",") + 1
+
+
+@pytest.mark.parametrize("command, flag, fields", list(_number_flags()), ids=str)
+def test_a_negative_value_after_a_space_parses_as_after_an_equals_sign(
+    capsys, monkeypatch, tmp_path, command, flag, fields
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scores.csv").write_text("z,score\n1,0.9\n0,0.1\n1,-0.5\n0,0.7\n")
+    base = dict(_BASES[command])
+    base.pop(flag, None)
+    if flag in ("--counts", "--summary"):
+        del base["--input"]
+    base = [part for pair in base.items() for part in pair]
+    for value in _NEGATIVE:
+        value = ",".join([value] + ["1"] * (fields - 1))
+        spaced = run_cli(capsys, command, *base, flag, value)
+        assert spaced == run_cli(capsys, command, *base, f"{flag}={value}"), value
+        assert "expected one argument" not in spaced[2]
 
 
 def _summary_arg(counts, fp_w, fn_w):

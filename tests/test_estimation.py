@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -408,6 +410,18 @@ def test_quantile_within_four_eps_relative_of_mpmath():
         assert abs(mpf(got) - exact) <= 4 * sys.float_info.epsilon * abs(exact), p
 
 
+def test_quantile_has_the_bits_of_the_standard_library():
+    # normal_quantile calls the C function that NormalDist().inv_cdf calls.
+    inv_cdf = NormalDist().inv_cdf
+    rng = random.Random(22)
+    levels = [k / 1000 for k in range(1, 1000)]
+    uniform = [p for p in (rng.random() for _ in range(10_000)) if p > 0.0]
+    tails = [10 ** -rng.uniform(1, 300) for _ in range(1000)]
+    central = [0.5 + rng.choice((-1, 1)) * 10 ** -rng.uniform(1, 16) for _ in range(1000)]
+    for p in levels + uniform + tails + central:
+        assert normal_quantile(p).hex() == inv_cdf(p).hex(), p
+
+
 def test_quantile_domain_errors():
     for p in (0.0, 1.0, -0.1, 1.1, math.nan, "0.5"):
         with pytest.raises(InvalidParameterError):
@@ -602,6 +616,23 @@ def test_validators_still_reject_bools():
         TverskyParams("0.5", 0.5)
 
 
+def test_validators_accept_other_integral_and_real_types():
+    # numbers.Integral and numbers.Real, which the validators load only for
+    # a value that is neither an int nor a float.
+    counts = ConfusionCounts(np.int8(3), np.uint8(1), np.int32(1), np.uint64(4))
+    assert counts == ConfusionCounts(3, 1, 1, 4)
+    assert all(type(cell) is int for cell in counts)
+    assert TverskyParams(Fraction(1, 2), np.float16(0.25)) == TverskyParams(0.5, 0.25)
+    assert fbeta_to_tversky(np.int64(2)) == fbeta_to_tversky(2.0)
+    assert normal_quantile(Fraction(39, 40)).hex() == normal_quantile(0.975).hex()
+
+
+@pytest.mark.parametrize("bad", [Decimal(3), 3 + 0j, Fraction(3), "3", True], ids=repr)
+def test_counts_reject_what_is_not_an_integer(bad):
+    with pytest.raises(InvalidParameterError, match="^tp must be an integer, got "):
+        ConfusionCounts(bad, 1, 1, 1)
+
+
 # Every public numeric argument, called with one bad value, and the message
 # it must raise. numbers.Real minus bool is the one accepted type.
 _NUMBER = "must be a number"
@@ -632,7 +663,8 @@ _NUMERIC_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, "0.5", None], ids=repr)
+# Neither a Decimal nor a complex is a numbers.Real, though float() takes a Decimal.
+@pytest.mark.parametrize("bad", [True, "0.5", None, Decimal("0.5"), 0.5 + 0j], ids=repr)
 @pytest.mark.parametrize(
     "call, message", _NUMERIC_ARGUMENTS.values(), ids=list(_NUMERIC_ARGUMENTS)
 )

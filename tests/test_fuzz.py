@@ -2,10 +2,11 @@
 never raises, and a JSON report printed on exit 0 is strict JSON that
 validates against its subcommand's schema.
 
-Float flags are passed as ``--flag=value`` so negative values parse, and
-include nan, inf, +-1e+-300 and subnormals. Sizes stay small (``--n`` and
-``--replications`` at most 50, ``--resamples`` at most 1000, ``--bins`` at
-most 50) so that no example allocates much.
+Each flag is passed as ``--flag=value`` or as ``--flag value``, which parse
+alike, negative values included. Float values include nan, inf, +-1e+-300
+and subnormals. Sizes stay small (``--n`` and ``--replications`` at most
+50, ``--resamples`` at most 1000, ``--bins`` at most 50) so that no example
+allocates much.
 """
 
 import contextlib
@@ -35,14 +36,16 @@ SEED = st.integers(-1, 2**64)
 
 
 def flag(name, values, optional=True):
-    given_flag = values.map(lambda value: [f"--{name}={value}"])
+    given_flag = st.tuples(values, st.booleans()).map(
+        lambda drawn: [f"--{name}={drawn[0]}"] if drawn[1] else [f"--{name}", str(drawn[0])]
+    )
     return st.one_of(st.just([]), given_flag) if optional else given_flag
 
 
 WEIGHTS = st.one_of(
     st.just([]),
-    FLOATS.map(lambda beta: [f"--beta={beta}"]),
-    st.tuples(FLOATS, FLOATS).map(lambda ab: [f"--ab={ab[0]},{ab[1]}"]),
+    flag("beta", FLOATS, False),
+    flag("ab", st.tuples(FLOATS, FLOATS).map(",".join), False),
 )
 INPUT = st.one_of(st.just([]), flag("counts", COUNTS, False), flag("summary", SUMMARY, False))
 

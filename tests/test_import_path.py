@@ -1,8 +1,9 @@
 """Each short command loads only the package modules it runs, and json only
 for JSON; numpy is loaded only by simulate, bootstrap-check and the
-simulation API, statistics only by commands that need a normal quantile, and
-no module for running other processes, nor dataclasses and the inspect
-module it loads, by any short command.
+simulation API; statistics (with fractions and decimal) by no command, and
+numbers by none that leaves numpy unloaded; and no module for running other
+processes, nor dataclasses and the inspect module it loads, by any short
+command.
 
 Each case runs in a fresh interpreter, because a module stays in sys.modules
 once any test in this process has imported it.
@@ -182,6 +183,67 @@ def test_short_commands_never_import_dataclasses(tmp_path, argv):
     modules = ("dataclasses", "inspect")
     code = _RUN_MAIN.replace('"numpy" in sys.modules', f"set({modules!r}).isdisjoint(sys.modules)")
     assert _python(code, *argv, cwd=tmp_path) == ["0", "True"]
+
+
+def _which_loaded(modules):
+    """_RUN_MAIN printing the exit code, then which of modules are loaded."""
+    loaded = f"*sorted(set({modules!r}) & set(sys.modules))"
+    return _RUN_MAIN.replace('"numpy" in sys.modules', loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("estimate", "--counts", "30,20,10,40"),
+        ("ci", "--counts", "300,60,40,600", "--format", "json"),
+        ("ci", "--input", "records.csv"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+        ("simulate", "--n", "50", "--replications", "20"),
+        ("bootstrap-check", "--counts", "30,20,10,40", "--resamples", "1000"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_no_command_imports_statistics_fractions_or_decimal(tmp_path, argv):
+    # The quantile comes from _statistics, the C module behind statistics.
+    (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
+    code = _which_loaded(("statistics", "fractions", "decimal"))
+    assert _python(code, *argv, cwd=tmp_path) == ["0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("estimate", "--counts", "30,20,10,40"),
+        ("estimate", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5", "--format", "json"),
+        ("ci", "--counts", "300,60,40,600"),
+        ("ci", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5"),
+        ("ci", "--input", "records.csv", "--mode", "score", "--threshold", "0.3"),
+        ("plan", "--delta", "0.02", "--ez", "0.3"),
+        ("bound-table",),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_commands_without_numpy_never_import_numbers(tmp_path, argv):
+    # The validators test int and float before the numbers ABCs.
+    (tmp_path / "records.csv").write_text("z,score\n1,0.9\n0,0.1\n", encoding="utf-8")
+    assert _python(_which_loaded(("numbers", "numpy")), *argv, cwd=tmp_path) == ["0"]
+
+
+def test_the_quantile_falls_back_to_normaldist_without_its_c_module():
+    code = (
+        "import sys\n"
+        "sys.modules['_statistics'] = None\n"
+        "from tverskyci import normal_quantile\n"
+        "ps = [k / 1000 for k in range(1, 1000)] + [1e-300, 0.5 - 1e-16, 1 - 1e-16]\n"
+        "got = [normal_quantile(p).hex() for p in ps]\n"
+        "print('statistics' in sys.modules)\n"
+        "from statistics import NormalDist\n"
+        "print(got == [NormalDist().inv_cdf(p).hex() for p in ps])\n"
+    )
+    assert _python(code) == ["True", "True"]
 
 
 @pytest.mark.parametrize(
