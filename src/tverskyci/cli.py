@@ -516,10 +516,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print("\n".join(_render(table, fields)))
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # The reader has closed stdout: end without a traceback, with devnull
-        # under stdout so that the interpreter's exit flush stays quiet.
+    except OSError as exc:
+        # End without a traceback, with devnull under stdout so that the
+        # interpreter's exit flush stays quiet. A reader that has closed the
+        # pipe needs no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"tverskyci: error: cannot write the report: {exc}", file=sys.stderr)
         return 1
     return 0
 

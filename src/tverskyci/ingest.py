@@ -244,7 +244,12 @@ def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, ce
     """Count a text block of score rows into cells and return True if every
     row is a 0 or 1 label beside the delimiter, then a finite score (or the
     same the other way round), ended by a \\n; else count nothing and return
-    False. Each row it counts, the per-line loop would count the same way."""
+    False. Each row it counts, the per-line loop would count the same way.
+
+    The block is checked by counting the labels that start (or end) a line
+    and the fields of one split, and by float and a finite sum of the
+    scores; the labels of the rows with score > threshold are then picked
+    out in one pass, and counting the 1s among them gives tp."""
     if block[-1:] != "\n":
         return False
     if z_first:  # a \n before each row but the block's first
@@ -260,14 +265,16 @@ def _count_block(block: str, delimiter: str, z_first: bool, threshold: float, ce
     if len(fields) != 2 * rows:
         return False
     try:
-        scores = list(map(float, fields[z_first::2]))
+        scores = list(map(float, itertools.islice(fields, z_first, None, 2)))
     except ValueError:
         return False
     if not math.isfinite(sum(scores)):  # an inf or nan, or too large a sum
         return False
-    above = list(map(operator.gt, scores, itertools.repeat(threshold)))
-    tp = list(itertools.compress(fields[1 - z_first :: 2], above)).count("1")
-    positives = above.count(True)
+    # The labels of the rows predicted positive, score > threshold.
+    labels = itertools.islice(fields, 1 - z_first, None, 2)
+    above = list(itertools.compress(labels, map(operator.gt, scores, itertools.repeat(threshold))))
+    tp = above.count("1")
+    positives = len(above)
     cells[0] += tp
     cells[1] += ones - tp
     cells[2] += positives - tp

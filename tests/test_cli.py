@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -599,6 +600,17 @@ def test_a_closed_stdout_pipe_ends_quietly_with_exit_1(argv):
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_report_that_cannot_be_written_prints_one_error_line_with_exit_1(output):
+    # Every write to /dev/full fails with ENOSPC; the exit flush stays quiet.
+    with open("/dev/full", "w") as full:
+        result = _run_process("ci", "--counts", "300,60,40,600", "--format", output, stdout=full)
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert result.returncode == 1
+    assert result.stderr == f"tverskyci: error: cannot write the report: {reason}\n"
 
 
 # A value for each float and comma flag of each subcommand, beside flags

@@ -602,7 +602,13 @@ def test_canonical_split_files_are_counted_a_block_at_a_time(tmp_path, monkeypat
     lines = [row.format(z=rng.randint(0, 1), s=f"{rng.uniform(-2, 2):.4f}") for _ in range(12_000)]
     lines[::1000] = [line[:-1] + "\n" for line in lines[::1000]]  # ranges end at a \n
     path = _write(tmp_path, "canonical.csv", header + "".join(lines))
-    expected = ConfusionCounts(*_ingest._count_file(path, "auto", 0.25, split=False))
+    _assert_counted_a_block_at_a_time(monkeypatch, path, 0.25)
+
+
+def _assert_counted_a_block_at_a_time(monkeypatch, path, threshold):
+    """Split path over three CPUs and check that it counts as the serial
+    count does, with every block of every range counted at once."""
+    expected = ConfusionCounts(*_ingest._count_file(path, "auto", threshold, split=False))
     handed = []
 
     def loop_lines(block):
@@ -613,10 +619,99 @@ def test_canonical_split_files_are_counted_a_block_at_a_time(tmp_path, monkeypat
 
     monkeypatch.setattr(_ingest, "_lines", loop_lines)
     with _split() as (forks, counts):
-        assert ingest(path, threshold=0.25) == expected
+        assert ingest(path, threshold=threshold) == expected
     assert len(forks) == 2
     assert counts == [True]
     assert handed == []
+
+
+# Scores that equal the threshold, written in several ways, beside scores
+# just either side of it; at threshold 0, both signed zeros equal it.
+_TIES = {
+    0.25: ["0.25", "0.250", "2.5e-1", ".25", "0.2499", "0.2501", "-1", "1.5"],
+    0.0: ["0.0", "-0.0", "0", "-0", "0e9", "-1e-9", "1e-9", "0.75"],
+}
+
+
+@pytest.mark.parametrize("threshold", list(_TIES))
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+@pytest.mark.parametrize("z_first", [True, False], ids=["z first", "score first"])
+def test_a_block_counts_a_score_equal_to_the_threshold_as_negative(
+    tmp_path, monkeypatch, threshold, delimiter, z_first
+):
+    rng = random.Random(11)
+    rows = [(str(rng.randint(0, 1)), rng.choice(_TIES[threshold])) for _ in range(12_000)]
+    lines = [delimiter.join(row[:: 1 if z_first else -1]) + "\n" for row in [("z", "score"), *rows]]
+    path = _write(tmp_path, "ties.csv", "".join(lines))
+    positives = sum(float(score) > threshold for _, score in rows)
+    assert sum(float(score) == threshold for _, score in rows) > 2000
+    counts = ConfusionCounts(*_ingest._count_file(path, "auto", threshold, split=False))
+    assert counts.tp + counts.fp == positives
+    _assert_counted_a_block_at_a_time(monkeypatch, path, threshold)
+
+
+# Ways a row can miss the block's layout, each a function of its label,
+# score and delimiter: padding, a second or a missing delimiter, a blank
+# line, a label that is not a bare 0 or 1, and scores that are not finite.
+_NEAR_MISSES = [
+    lambda z, s, d: (" " + z, s),
+    lambda z, s, d: (z + " ", s),
+    lambda z, s, d: (z, s + " "),
+    lambda z, s, d: (z, s + d + "1"),
+    lambda z, s, d: (z + d + "0", s),
+    lambda z, s, d: (z + s,),
+    lambda z, s, d: ("",),
+    lambda z, s, d: ("2", s),
+    lambda z, s, d: ("1.0", s),
+    lambda z, s, d: (z, "nan"),
+    lambda z, s, d: (z, "-inf"),
+    lambda z, s, d: (z, "1e400"),
+    lambda z, s, d: (z, "x"),
+    lambda z, s, d: (z, ""),
+]
+
+
+@st.composite
+def _score_blocks(draw):
+    """A text block of score rows as a split range hands one to the count,
+    its delimiter, whether z comes first, and a threshold: rows of a bare
+    0 or 1 label and a finite score, in half the blocks one or two of them
+    near misses."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    z_first = draw(st.booleans())
+    scores = st.one_of(st.sampled_from(["0.5", "-0.0", ".5", "5e-1"]), st.floats(-2, 2).map(repr))
+    labels = st.sampled_from(["0", "1"])
+    rows = [(draw(labels), draw(scores)) for _ in range(draw(st.integers(1, 12)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = draw(st.sampled_from(_NEAR_MISSES))(*rows[at], delimiter)
+    block = "".join(delimiter.join(row[:: 1 if z_first else -1]) + "\n" for row in rows)
+    if draw(st.integers(0, 9)) == 0:
+        block = block[:-1]  # a last line without \n
+    return block, delimiter, z_first, draw(st.sampled_from([0.0, 0.5, -1.0]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_score_blocks())
+# A row of one field beside a row of three keeps two fields a line, and
+# every line holds a label; the line-start patterns find two rows in three
+# lines, so the field count rejects these.
+@example(("1,2\n0\n1,1,4\n", ",", True, 0.5))
+@example(("2,1\n0\n4,1,1\n", ",", False, 0.5))
+# Scores equal to the threshold are predicted negative.
+@example(("1\t0.5\n0\t0.5\n1\t0.6\n", "\t", True, 0.5))
+def test_a_block_is_counted_as_the_per_line_loop_counts_it_or_left_alone(case):
+    block, delimiter, z_first, threshold = case
+    before = [5, 6, 7, 8]
+    cells = list(before)
+    if _ingest._count_block(block, delimiter, z_first, threshold, cells):
+        header = ("z", "score")[:: 1 if z_first else -1]
+        lines = [_ingest._lines(block)]  # handed over as a list, so not tried as a block
+        loop = list(before)
+        _ingest._count_delimited((1, delimiter.join(header)), lines, "score", threshold, "f", loop)
+        assert cells == loop
+    else:
+        assert cells == before
 
 
 def test_ingest_memory_does_not_grow_with_rows(tmp_path):
