@@ -44,9 +44,13 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
-    def error(self, message: str) -> None:  # argparse default exits 2; usage errors are 1 here
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def _print_message(self, message: str, file=None) -> None:
+        # Help goes to stdout as a report does: a failed write reaches main,
+        # where argparse's own writer would swallow it.
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+        file.flush()
 
 
 def _comma_fields(
@@ -494,21 +498,13 @@ def report_schemas() -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    command, table = _COMMANDS[args.command]
-    try:
+        args = build_parser().parse_args(argv)
+        command, table = _COMMANDS[args.command]
         source, warnings = command(args)
-    except TverskyCIError as exc:
-        print(f"tverskyci: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    fields = _fields(table, source)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    try:
+        fields = _fields(table, source)
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         if args.format == "json":
             import json
 
@@ -516,7 +512,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print("\n".join(_render(table, fields)))
         sys.stdout.flush()  # so that a closed pipe fails here, not at exit
-    except OSError as exc:
+    except SystemExit as exc:  # argparse's: 0 after help, 2 for a usage error, which is 1 here
+        return 1 if exc.code else 0
+    except TverskyCIError as exc:
+        print(f"tverskyci: error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # from writing the help or the report
         # End without a traceback, with devnull under stdout so that the
         # interpreter's exit flush stays quiet. A reader that has closed the
         # pipe needs no message.

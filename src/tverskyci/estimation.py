@@ -243,8 +243,12 @@ def fbeta_to_tversky(beta: float) -> TverskyParams:
     gives (0.5, 0.5), beta=2 gives (0.2, 0.8).
     """
     b = _require_positive(beta, "beta")
-    denom = 1.0 + b * b
-    return TverskyParams(1.0 / denom, b * b / denom)
+    b2 = b * b
+    if b2 == math.inf or b2 == 0.0:  # either would make a weight 0
+        way = "overflows" if b2 else "underflows"
+        raise InvalidParameterError(f"beta {b:g} {way} when squared")
+    denom = 1.0 + b2
+    return TverskyParams(1.0 / denom, b2 / denom)
 
 
 class SummaryStats(_record("n tp_rate tversky tversky_sq")):
@@ -513,9 +517,14 @@ def confidence_interval(
 # ---------------------------------------------------------------------------
 
 
+def _phi(x: float) -> float:
+    """Standard normal CDF of a float, infinite ones included."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc, accurate to machine precision."""
-    return 0.5 * math.erfc(-_require_finite(x, "x") / _SQRT2)
+    return _phi(_require_finite(x, "x"))
 
 
 def normal_quantile(p: float) -> float:

@@ -19,8 +19,8 @@ arrays in index order. One Philox serves every replication, re-keyed to
 Philox(key=[seed, i]) each, without building one per replication. The
 replications with a true positive are kept, and their intervals are
 computed in one vectorized pass per chunk of replications. Only what the
-report needs is kept: each estimate, se and covered flag, 17 bytes per
-replication, plus one chunk's cells and interval temporaries.
+report needs is kept: each estimate and se, 16 bytes per replication, a
+count of the covered ones, and one chunk's cells and interval temporaries.
 
 The nonparametric bootstrap here is a verification oracle for the analytic
 standard error, not an alternative product feature.
@@ -40,13 +40,13 @@ from .estimation import (
     TverskyParams,
     _critical_value,
     _error_ratio,
+    _phi,
     _quote,
     _require_count,
     _require_finite,
     _require_open_unit,
     _require_type,
     _tversky_and_variance,
-    normal_cdf,
 )
 
 __all__ = [
@@ -92,9 +92,10 @@ class ScoreModel:
     @property
     def cell_probabilities(self) -> tuple[float, float, float, float]:
         """(tp, fn, fp, tn) probabilities; pairs sum exactly to the class
-        masses so the four cells total 1 to within one rounding."""
-        hit = normal_cdf(self.shift - self.threshold)
-        false_alarm = normal_cdf(-self.threshold)
+        masses so the four cells total 1 to within one rounding. shift -
+        threshold may overflow to an infinity, whose probability is 0 or 1."""
+        hit = _phi(self.shift - self.threshold)
+        false_alarm = _phi(-self.threshold)
         p_tp = self.prevalence * hit
         p_fp = (1.0 - self.prevalence) * false_alarm
         return (
@@ -182,6 +183,13 @@ class SimulationReport:
     estimates: np.ndarray = field(compare=False, repr=False)
 
 
+# Rows per chunk of replications or resamples. A replication row takes about
+# 180 bytes of cells and interval temporaries (1.5 MB a chunk), a resample
+# row about 90 bytes of draws and temporaries (0.7 MB). The size changes no
+# printed bit.
+_CHUNK = 2**13
+
+
 def _intervals(
     cells: np.ndarray, n: int, params: TverskyParams, level: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -202,13 +210,10 @@ def _intervals(
     return estimate, se, lower, upper
 
 
-# About 180 bytes of cells and interval temporaries per row: 1.5 MB a chunk.
-_SIM_CHUNK = 2**13
-
-
-def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The population index, then the estimate, se and covered flag of each
-    replication with a true positive, in replication order.
+def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """The population index, the estimate and se of each replication with a
+    true positive, in replication order, and how many of their intervals
+    cover the index.
 
     Replications are drawn and estimated one chunk at a time into one reused
     cell buffer. A variance that overflows is nan, never inf (an infinite
@@ -226,16 +231,15 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.n
     generator = np.random.Generator(bit_generator)
     try:
         estimates, ses = np.empty(reps), np.empty(reps)
-        covered = np.empty(reps, dtype=bool)
     except (MemoryError, ValueError):  # ValueError: larger than the address space
         raise InvalidParameterError(
-            f"replications={reps} needs at least {17 * reps} bytes of memory for the "
-            "estimates, standard errors and coverage flags, more than can be allocated"
+            f"replications={reps} needs at least {16 * reps} bytes of memory for the "
+            "estimates and standard errors, more than can be allocated"
         ) from None
-    cells = np.empty((min(_SIM_CHUNK, reps), 4), dtype=np.int64)
-    size = 0
-    for start in range(0, reps, _SIM_CHUNK):
-        block = cells[: min(_SIM_CHUNK, reps - start)]
+    cells = np.empty((min(_CHUNK, reps), 4), dtype=np.int64)
+    size = covered = 0
+    for start in range(0, reps, _CHUNK):
+        block = cells[: min(_CHUNK, reps - start)]
         for i in range(start, start + len(block)):
             key[1] = i
             bit_generator.state = fresh
@@ -245,9 +249,9 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, np.n
         )
         stop = size + estimate.size
         estimates[size:stop], ses[size:stop] = estimate, se
-        covered[size:stop] = (lower <= true_value) & (true_value <= upper)
+        covered += int(np.count_nonzero((lower <= true_value) & (true_value <= upper)))
         size = stop
-    return true_value, estimates[:size], ses[:size], covered[:size]
+    return true_value, estimates[:size], ses[:size], covered
 
 
 def _moment(values: np.ndarray, k: int, out: np.ndarray, ddof: int = 0) -> float:
@@ -281,7 +285,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         mean_estimate=float(estimates.mean()),
         sd_estimates=sd,
         mean_se=mean_se,
-        coverage=float(covered.mean()),
+        coverage=covered / estimates.size,
         degenerate_count=config.replications - estimates.size,
         estimates=estimates,
     )
@@ -296,9 +300,6 @@ def replication_estimates(config: SimulationConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bootstrap oracle
 # ---------------------------------------------------------------------------
-
-# About 90 bytes of draws and temporaries per row: 0.7 MB a chunk.
-_BOOTSTRAP_CHUNK = 2**13
 
 
 def bootstrap_se(
@@ -336,8 +337,8 @@ def bootstrap_se(
     rng = np.random.default_rng(seed)
     size = 0
     # Successive chunks consume the stream exactly as one draw of all rows.
-    for start in range(0, resamples, _BOOTSTRAP_CHUNK):
-        draws = rng.multinomial(n, pvals, size=min(_BOOTSTRAP_CHUNK, resamples - start))
+    for start in range(0, resamples, _CHUNK):
+        draws = rng.multinomial(n, pvals, size=min(_CHUNK, resamples - start))
         tp = draws[:, 0].astype(float)
         kept = tp > 0
         errors = params.fp_weight * draws[kept, 2] + params.fn_weight * draws[kept, 1]

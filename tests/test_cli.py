@@ -246,10 +246,15 @@ def test_simulate_with_explicit_weights(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_usage_error_is_exit_1(capsys):
+def test_usage_error_is_exit_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "estimate", "--counts", "1,2,3")
     assert code == 1
     assert "error" in err
+    # argparse's usage lines and message, as argparse writes them, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = (Path(__file__).parent / "data" / "help_ci.txt").read_text().split("\n\n")[0]
+    message = "tverskyci ci: error: argument --level: invalid float value: 'x'"
+    assert run_cli(capsys, "ci", "--level", "x") == (1, "", f"{usage}\n{message}\n")
 
 
 def test_a_huge_malformed_count_is_quoted_in_one_short_line(capsys):
@@ -334,6 +339,9 @@ def test_a_model_with_no_true_positives_fails_before_any_draw(capsys):
     message = "model gives zero true-positive probability"
     code, out, err = run_cli(capsys, "simulate", "--mu", "-40", "--threshold", "0")
     assert (code, out, err) == (3, "", f"tverskyci: error: {message}\n")
+    # shift - threshold overflows to -inf, whose hit probability is 0
+    code, out, err = run_cli(capsys, "simulate", "--mu", "-1e308", "--threshold", "1e308")
+    assert (code, out, err) == (3, "", f"tverskyci: error: {message}\n")
     config = SimulationConfig(
         model=ScoreModel(0.5, -40.0, 0.0), n=1000, replications=50, params=TverskyParams(1, 1)
     )
@@ -410,6 +418,15 @@ def test_a_weight_whose_square_underflows_is_named_in_the_message(capsys):
     message = "weights (1e-200, 1) underflow when squared"
     result = run_cli(capsys, "ci", "--counts", "5,1,1,3", "--ab", "1e-200,1")
     assert result == (4, "", f"tverskyci: error: {message}\n")
+    # --beta gives the weights through its square, so beta is named.
+    for argv, message in [
+        (("estimate", "--counts", "1,1,1,1", "--beta", "1e155"), "beta 1e+155 overflows"),
+        (("estimate", "--counts", "1,1,1,1", "--beta", "1e200"), "beta 1e+200 overflows"),
+        (("estimate", "--counts", "1,1,1,1", "--beta", "1e-170"), "beta 1e-170 underflows"),
+        (("plan", "--delta", "0.01", "--beta", "1e-170"), "beta 1e-170 underflows"),
+    ]:
+        result = run_cli(capsys, *argv)
+        assert result == (4, "", f"tverskyci: error: {message} when squared\n")
 
 
 def test_simulate_checks_the_weights_before_the_model(capsys):
@@ -583,16 +600,27 @@ def test_bad_row_read_from_a_pipe_is_reported_once_with_its_line():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ("simulate", "--n", "50", "--replications", "20", "--format", "json"),
-        ("ci", "--counts", "300,60,40,600"),
+        pytest.param(
+            ("simulate", "--n", "50", "--replications", "20", "--format", "json"),
+            False,
+            id="simulate",
+        ),
+        pytest.param(("ci", "--counts", "300,60,40,600"), False, id="ci"),
+        pytest.param(("--help",), False, id="help"),
+        pytest.param(("--help",), True, id="help-unbuffered"),
+        pytest.param(("ci", "--help"), False, id="ci-help"),
+        pytest.param(("ci", "--help"), True, id="ci-help-unbuffered"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_a_closed_stdout_pipe_ends_quietly_with_exit_1(argv):
-    # The read end is closed before the CLI starts, so its report cannot be
-    # written; the CLI says nothing more, and its exit flush stays quiet.
+def test_a_closed_stdout_pipe_ends_quietly_with_exit_1(argv, unbuffered, monkeypatch):
+    # The read end is closed before the CLI starts, so its report or help
+    # cannot be written; the CLI says nothing more, and its exit flush stays
+    # quiet, whether stdout is buffered or not.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     read, write = os.pipe()
     os.close(read)
     try:
@@ -603,11 +631,19 @@ def test_a_closed_stdout_pipe_ends_quietly_with_exit_1(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-@pytest.mark.parametrize("output", ["text", "json"])
-def test_a_report_that_cannot_be_written_prints_one_error_line_with_exit_1(output):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("ci", "--counts", "300,60,40,600", "--format", "text"), id="text"),
+        pytest.param(("ci", "--counts", "300,60,40,600", "--format", "json"), id="json"),
+        pytest.param(("--help",), id="help"),
+    ],
+)
+def test_a_report_that_cannot_be_written_prints_one_error_line_with_exit_1(argv):
     # Every write to /dev/full fails with ENOSPC; the exit flush stays quiet.
+    # Help is written as a report is.
     with open("/dev/full", "w") as full:
-        result = _run_process("ci", "--counts", "300,60,40,600", "--format", output, stdout=full)
+        result = _run_process(*argv, stdout=full)
     reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
     assert result.returncode == 1
     assert result.stderr == f"tverskyci: error: cannot write the report: {reason}\n"

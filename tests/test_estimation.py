@@ -158,6 +158,12 @@ def test_squared_weight_underflow_names_the_weights():
     message = r"^weights \(1e-200, 1\) underflow when squared$"
     with pytest.raises(InvalidParameterError, match=message):
         TverskyParams(1e-200, 1.0).squared()
+    # F-beta's weights come from beta squared, so a beta whose square leaves
+    # the float range is named instead of the weight it zeroes.
+    for beta, way in ((1e155, "overflows"), (1e200, "overflows"), (1e-170, "underflows")):
+        with pytest.raises(InvalidParameterError) as raised:
+            fbeta_to_tversky(beta)
+        assert str(raised.value) == f"beta {beta:g} {way} when squared"
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,9 @@ def test_bootstrap_resamples_beyond_memory():
 
 
 def test_replications_beyond_memory():
-    # an estimate, an se and a covered flag per replication: 8 + 8 + 1 bytes
+    # an estimate and an se per replication: 8 + 8 bytes
     config = SimulationConfig(ScoreModel(0.5, 2.5, 1.0), 5, 10**15, TverskyParams(0.5, 0.5))
-    message = r"replications=10{15} needs at least 17\d{15} bytes"
+    message = r"replications=10{15} needs at least 16\d{15} bytes"
     with pytest.raises(InvalidParameterError, match=message):
         run_simulation(config)
 

@@ -40,6 +40,10 @@ def test_cell_probabilities_form_a_distribution():
     assert p_tp + p_fn == REFERENCE_MODEL.prevalence
     assert min(p_tp, p_fn, p_fp, p_tn) >= 0.0
     assert p_tp + p_fn + p_fp + p_tn == pytest.approx(1.0, abs=1e-15)
+    # shift - threshold overflows to inf: every score lies above the threshold
+    model = ScoreModel(0.5, 1e308, -1e308)
+    assert model.cell_probabilities == (0.5, 0.0, 0.5, 0.0)
+    assert population_index(model, TverskyParams(0.5, 0.5)) == 2 / 3
 
 
 def test_population_index_reference_model():
@@ -432,17 +436,17 @@ def _traced(call):
 
 
 def test_run_simulation_memory_per_replication(monkeypatch):
-    # The report needs 17 B per replication: each kept estimate and se and
-    # its covered flag. The rest is one chunk's cells and interval
+    # The report needs 16 B per replication: each kept estimate and se. The
+    # rest is a count of the covered ones and one chunk's cells and interval
     # temporaries, about 180 B a row; a small chunk keeps that budget small
     # beside the per-replication term. numpy's per-draw allocations make the
     # loop about ten times slower traced, so 60k replications take a second.
-    monkeypatch.setattr(simulation, "_SIM_CHUNK", 2**10)
+    monkeypatch.setattr(simulation, "_CHUNK", 2**10)
     run_simulation(dataclasses.replace(REFERENCE_CONFIG, replications=10))  # lazy set-up
     config = dataclasses.replace(REFERENCE_CONFIG, replications=60_000)
     report, peak = _traced(lambda: run_simulation(config))
     assert report.estimates.size == config.replications
-    assert peak < 20 * config.replications + 256 * simulation._SIM_CHUNK
+    assert peak < 20 * config.replications + 256 * simulation._CHUNK
 
 
 def test_bootstrap_se_memory_per_resample():

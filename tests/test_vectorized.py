@@ -213,8 +213,7 @@ def _chunked_results():
 @pytest.mark.parametrize("chunk", [1, 7, 2**16])
 def test_chunk_sizes_change_no_bit(monkeypatch, chunk):
     want = _chunked_results()
-    monkeypatch.setattr(simulation, "_SIM_CHUNK", chunk)
-    monkeypatch.setattr(simulation, "_BOOTSTRAP_CHUNK", chunk)
+    monkeypatch.setattr(simulation, "_CHUNK", chunk)
     assert _chunked_results() == want
 
 
