@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -44,13 +45,37 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def print_help(self, file=None) -> None:
+        # Help is written as a report is: a failed write reaches _run, where
+        # argparse's own writer would swallow it.
+        _write_report(self.format_help())
+
     def _print_message(self, message: str, file=None) -> None:
-        # Help goes to stdout as a report does: a failed write reaches main,
-        # where argparse's own writer would swallow it.
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        file.write(message)
-        file.flush()
+        # All else argparse writes is a usage error, for stderr. argparse
+        # would send it to stdout when sys.stderr is None.
+        _to_stderr(message)
+
+
+def _write_report(text: str) -> None:
+    """Write text to stdout and flush it, so that a failed write raises here
+    rather than at exit. With fd 1 closed, sys.stdout is None; that fails as
+    a write to the closed descriptor would."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
+def _to_stderr(message: str) -> None:
+    """Write a message to stderr, or drop it if stderr cannot take it, so
+    that a closed stderr changes neither the report nor the exit code. With
+    fd 2 closed, sys.stderr is None, and print would write to stdout."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(message)  # stderr is line-buffered: this writes it out
+    except OSError:
+        pass
 
 
 def _comma_fields(
@@ -498,32 +523,54 @@ def report_schemas() -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line on argv and return its exit code, 0 to 4.
+
+    ``main()`` with no argument runs as the program, on ``sys.argv``, and
+    never returns: once its report, help or error is out, it flushes stdout,
+    then stderr, and ends the process with ``os._exit``, so the interpreter
+    skips its teardown (atexit handlers, module teardown and the final
+    garbage collection). A stream that is None or whose flush fails is
+    skipped.
+    """
+    code = _run(argv)
+    if argv is not None:
+        return code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # None for a closed descriptor
+            pass
+    os._exit(code)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command, table = _COMMANDS[args.command]
         source, warnings = command(args)
         fields = _fields(table, source)
         for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+            _to_stderr(f"warning: {warning}\n")
         if args.format == "json":
             import json
 
-            print(json.dumps({"command": args.command, **fields}, indent=2, sort_keys=True))
+            report = json.dumps({"command": args.command, **fields}, indent=2, sort_keys=True)
         else:
-            print("\n".join(_render(table, fields)))
-        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+            report = "\n".join(_render(table, fields))
+        _write_report(report + "\n")
     except SystemExit as exc:  # argparse's: 0 after help, 2 for a usage error, which is 1 here
         return 1 if exc.code else 0
     except TverskyCIError as exc:
-        print(f"tverskyci: error: {exc}", file=sys.stderr)
+        _to_stderr(f"tverskyci: error: {exc}\n")
         return exc.exit_code
     except OSError as exc:  # from writing the help or the report
-        # End without a traceback, with devnull under stdout so that the
-        # interpreter's exit flush stays quiet. A reader that has closed the
-        # pipe needs no message.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # End without a traceback. A reader that has closed the pipe needs
+        # no message. When main returns to a caller, devnull under stdout
+        # keeps the caller's exit flush quiet.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"tverskyci: error: cannot write the report: {exc}", file=sys.stderr)
+            _to_stderr(f"tverskyci: error: cannot write the report: {exc}\n")
         return 1
     return 0
 

@@ -547,12 +547,21 @@ def test_every_payload_has_exactly_its_schema_fields(capsys, argv):
     assert keys_match(payload, SCHEMAS_BY_COMMAND[argv[0]]) >= 2  # the report and a nested object
 
 
-def _run_process(*argv, stdin=None, stdout=subprocess.PIPE):
-    """Run the CLI as its own process on the checkout's src/."""
+# What the installed console script runs, as the benchmark times it.
+_CONSOLE = ("-c", "import sys; from tverskyci.cli import main; sys.exit(main())")
+
+
+def _run_process(*argv, stdin=None, stdout=subprocess.PIPE, entry=_CONSOLE, redirect=""):
+    """Run the CLI as its own process on the checkout's src/, through the
+    console-script entry or another entry such as ("-m", "tverskyci.cli").
+    A shell redirection such as ">&-" is applied to the process first."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, *entry, *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-m", "tverskyci.cli", *argv],
+        command,
         env={**os.environ, "PYTHONPATH": path},
         input=stdin,
         stdout=stdout,
@@ -647,6 +656,108 @@ def test_a_report_that_cannot_be_written_prints_one_error_line_with_exit_1(argv)
     reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
     assert result.returncode == 1
     assert result.stderr == f"tverskyci: error: cannot write the report: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("ci", "--counts", "300,60,40,600"),
+        ("simulate", "--n", "50", "--replications", "20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_prints_one_error_line_with_exit_1(argv):
+    # With fd 1 closed the interpreter sets sys.stdout to None; the report
+    # fails as a write to the closed descriptor does.
+    result = _run_process(*argv, redirect=">&-")
+    reason = f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
+    assert result.returncode == 1
+    assert result.stderr == f"tverskyci: error: cannot write the report: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "redirect",
+    [
+        pytest.param("2>&-", id="closed"),  # sys.stderr is None
+        pytest.param("2</dev/null", id="read-only"),  # writes fail with EBADF
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("ci", "--counts", "5,0,0,5"), id="warning"),
+        pytest.param(("ci", "--counts", "0,0,0,0"), id="error"),
+        pytest.param(("ci", "--level", "x"), id="usage"),
+    ],
+)
+def test_a_closed_stderr_leaves_the_report_and_the_exit_code(argv, redirect):
+    # A message that stderr cannot take is dropped: stdout and the exit code
+    # are those of the same command with stderr open.
+    closed = _run_process(*argv, redirect=redirect)
+    expected = _run_process(*argv)
+    assert expected.stderr
+    assert (closed.returncode, closed.stdout, closed.stderr) == (
+        expected.returncode,
+        expected.stdout,
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            (*command, "--format", form)
+            for command in (
+                ("estimate", "--counts", "30,20,10,40"),
+                ("ci", "--counts", "300,60,40,600", "--beta", "0.5"),
+                ("plan", "--delta", "0.02", "--ez", "0.3"),
+                ("bound-table",),
+                ("simulate", "--n", "50", "--replications", "20"),
+                ("bootstrap-check", "--counts", "30,20,10,40", "--resamples", "1000"),
+            )
+            for form in ("text", "json")
+        ),
+        ("ci", "--counts", "5,0,0,5"),  # a warning
+        ("--help",),
+        ("ci", "--level", "x"),  # exit 1
+        ("estimate", "--input", "/missing/file.csv"),  # exit 2
+        ("ci", "--counts", "0,5,5,90"),  # exit 3
+        ("ci", "--counts", "30,20,10,40", "--level", "1.5"),  # exit 4
+    ],
+    ids=" ".join,
+)
+def test_the_program_writes_what_main_returns_in_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage lines wrap alike in both
+    result = _run_process(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
+
+
+_ATEXIT = "import atexit, sys; atexit.register(print, 'teardown'); from tverskyci.cli import main; "
+
+
+def test_the_program_ends_without_interpreter_teardown():
+    # main() with no argument ends the process once its output is out, so
+    # an atexit handler never runs; main(argv) returns, and teardown runs.
+    program = _run_process("bound-table", entry=("-c", _ATEXIT + "sys.exit(main())"))
+    returned = _run_process(entry=("-c", _ATEXIT + "print(main(['bound-table']))"))
+    assert program.returncode == returned.returncode == 0
+    assert not program.stdout.endswith("teardown\n")
+    assert returned.stdout == program.stdout + "0\nteardown\n"
+
+
+def test_python_m_runs_the_program():
+    # The module's __main__ guard runs main() as the console script does.
+    argv = ("ci", "--counts", "5,0,0,5", "--format", "json")
+    module = _run_process(*argv, entry=("-m", "tverskyci.cli"))
+    console = _run_process(*argv)
+    assert module.stderr.startswith("warning: ")
+    assert (module.returncode, module.stdout, module.stderr) == (
+        console.returncode,
+        console.stdout,
+        console.stderr,
+    )
 
 
 # A value for each float and comma flag of each subcommand, beside flags
