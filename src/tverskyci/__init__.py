@@ -6,16 +6,35 @@ verifies the formulas against simulation and against the bootstrap.
 import sys
 from importlib import import_module
 
-from . import errors, estimation
+from . import errors
 from .errors import *
-from .estimation import *
 
 __version__ = "0.1.0"
 
-# The other modules load on first access to one of their public names:
-# ingest (and json) for record files, planning for plan and bound-table,
-# simulation (and numpy) for the Monte Carlo commands. Each list is its
-# module's __all__.
+# The record-file modes of ingest, here so the CLI can offer them without
+# loading a module.
+MODES = ("auto", "prediction", "score")
+
+# Every module but errors loads on first access to one of its public names:
+# estimation for the estimators, ingest (and json) for record files,
+# planning for plan and bound-table, simulation (and numpy) for the Monte
+# Carlo commands. Each list is its module's __all__.
+_ESTIMATION_NAMES = {
+    "ConfusionCounts",
+    "EstimateReport",
+    "SummaryStats",
+    "TverskyParams",
+    "asymptotic_variance",
+    "confidence_interval",
+    "fbeta_to_tversky",
+    "normal_cdf",
+    "normal_quantile",
+    "precision",
+    "recall",
+    "summarize",
+    "tversky_index",
+    "weighted_error_ratio",
+}
 _INGEST_NAMES = {"ingest"}
 _PLANNING_NAMES = {
     "PlanResult",
@@ -41,6 +60,7 @@ _SIMULATION_NAMES = {
 _LAZY = {
     name: module
     for module, names in (
+        ("estimation", _ESTIMATION_NAMES),
         ("ingest", _INGEST_NAMES),
         ("planning", _PLANNING_NAMES),
         ("simulation", _SIMULATION_NAMES),
@@ -48,12 +68,14 @@ _LAZY = {
     for name in names
 }
 
-__all__ = sorted([*errors.__all__, *estimation.__all__, *_LAZY])
+__all__ = sorted([*errors.__all__, *_LAZY])
 
 
 def __getattr__(name: str) -> object:
     if name in _LAZY:
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        # Kept once found, so that a later access is a plain attribute lookup.
+        value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -15,20 +15,8 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
+from . import MODES
 from .errors import TverskyCIError, UsageError
-from .estimation import (
-    MODES,
-    ConfusionCounts,
-    SummaryStats,
-    TverskyParams,
-    _consistent_ratios,
-    _quote,
-    confidence_interval,
-    fbeta_to_tversky,
-    precision,
-    recall,
-    tversky_index,
-)
 
 
 # How a number starts after its minus sign; no option is spelled this way.
@@ -91,6 +79,8 @@ def _comma_fields(
         try:
             return tuple(kind(part) for kind, part in zip(types, parts))
         except ValueError:
+            from .estimation import _quote
+
             raise argparse.ArgumentTypeError(f"{malformed} {_quote(text)}") from None
 
     return parse
@@ -204,12 +194,17 @@ def build_parser() -> _Parser:
 
 
 def _resolve_params(args: argparse.Namespace) -> TverskyParams:
+    # Each command loads estimation where it runs, so help and usage errors never do.
+    from .estimation import TverskyParams, fbeta_to_tversky
+
     if args.ab is not None:
         return TverskyParams(*args.ab)
     return fbeta_to_tversky(args.beta if args.beta is not None else 1.0)
 
 
 def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
+    from .estimation import ConfusionCounts, SummaryStats
+
     # bootstrap-check has no --summary flag, so it always gets counts
     if getattr(args, "summary", None) is not None:
         return SummaryStats(*args.summary)
@@ -406,6 +401,8 @@ def _schema(schema: object) -> dict:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
+    from .estimation import SummaryStats, _consistent_ratios, precision, recall, tversky_index
+
     params = _resolve_params(args)
     data = _resolve_data(args)
     warnings: list[str] = []
@@ -425,6 +422,8 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
 
 
 def _cmd_ci(args: argparse.Namespace) -> tuple[object, list[str]]:
+    from .estimation import confidence_interval
+
     params = _resolve_params(args)
     report = confidence_interval(_resolve_data(args), params, args.level)
     warnings = []
@@ -484,6 +483,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
 
 
 def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[object, list[str]]:
+    from .estimation import confidence_interval
     from .simulation import bootstrap_se
 
     params = _resolve_params(args)
@@ -566,9 +566,16 @@ def _run(argv: Sequence[str] | None) -> int:
     except OSError as exc:  # from writing the help or the report
         # End without a traceback. A reader that has closed the pipe needs
         # no message. When main returns to a caller, devnull under stdout
-        # keeps the caller's exit flush quiet.
-        if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # keeps the caller's exit flush quiet; a stream without a descriptor
+        # (None, or a caller's in-memory stream) is left as it is.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             _to_stderr(f"tverskyci: error: cannot write the report: {exc}\n")
         return 1

@@ -43,29 +43,12 @@ import math
 import sys
 from collections import namedtuple
 
+from . import _ESTIMATION_NAMES
 from .errors import DegenerateSampleError, InvalidParameterError
 
-__all__ = [
-    "ConfusionCounts",
-    "TverskyParams",
-    "SummaryStats",
-    "EstimateReport",
-    "fbeta_to_tversky",
-    "tversky_index",
-    "weighted_error_ratio",
-    "precision",
-    "recall",
-    "summarize",
-    "asymptotic_variance",
-    "confidence_interval",
-    "normal_cdf",
-    "normal_quantile",
-]
+__all__ = sorted(_ESTIMATION_NAMES)
 
 _SQRT2 = math.sqrt(2.0)
-# The record-file modes of ingest, here so the CLI can offer them without
-# loading ingest.
-MODES = ("auto", "prediction", "score")
 _QUOTED = 64  # characters of a caller's value that an error message quotes
 
 

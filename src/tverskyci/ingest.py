@@ -44,10 +44,11 @@ import operator
 import os
 from collections.abc import Callable, Iterable
 
+from . import _INGEST_NAMES, MODES
 from .errors import DataError, InvalidParameterError
-from .estimation import MODES, ConfusionCounts, _quote, _require_finite
+from .estimation import ConfusionCounts, _quote, _require_finite
 
-__all__ = ["ingest"]
+__all__ = sorted(_INGEST_NAMES)
 
 _MIN_RANGE = 1 << 20  # bytes; a file is split only into ranges at least this long
 

@@ -30,18 +30,11 @@ from __future__ import annotations
 
 import math
 
+from . import _PLANNING_NAMES
 from .errors import InvalidParameterError
 from .estimation import TverskyParams, _record, _require_positive, _require_type
 
-__all__ = [
-    "VarianceBound",
-    "PlanResult",
-    "variance_bound",
-    "planning_bound",
-    "required_events",
-    "required_total",
-    "bound_table",
-]
+__all__ = sorted(_PLANNING_NAMES)
 
 TABLE_WEIGHTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 

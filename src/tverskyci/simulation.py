@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _SIMULATION_NAMES
 from .errors import DegenerateSampleError, InvalidParameterError
 from .estimation import (
     ConfusionCounts,
@@ -49,18 +50,7 @@ from .estimation import (
     _tversky_and_variance,
 )
 
-__all__ = [
-    "ScoreModel",
-    "SimulationConfig",
-    "SimulationReport",
-    "HistogramSummary",
-    "population_index",
-    "population_variance",
-    "run_simulation",
-    "replication_estimates",
-    "bootstrap_se",
-    "histogram_summary",
-]
+__all__ = sorted(_SIMULATION_NAMES)
 
 def _require_bits(value: object, name: str, bits: int) -> int:
     # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.

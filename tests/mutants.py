@@ -56,6 +56,7 @@ FAST_FIRST = (
     "test_records.py",
     "test_estimation.py",
     "test_planning.py",
+    "test_derivations.py",
     "test_library_inputs.py",
     "test_vectorized.py",
     "test_acceptance.py",

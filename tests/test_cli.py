@@ -676,6 +676,37 @@ def test_a_closed_stdout_prints_one_error_line_with_exit_1(argv):
     assert result.stderr == f"tverskyci: error: cannot write the report: {reason}\n"
 
 
+class _FullStream(io.StringIO):
+    """An in-memory stdout, with no descriptor, that no write fits."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("stdout", ["in-memory", "/dev/full"])
+def test_main_returns_1_for_a_report_that_cannot_be_written(monkeypatch, stdout):
+    # main(argv) returns to its caller with the one error line, whether
+    # stdout has a descriptor or not, and leaves no descriptor open.
+    if stdout == "/dev/full" and not os.path.exists(stdout):
+        pytest.skip("no /dev/full on this system")
+    with contextlib.ExitStack() as stack:
+        stream = _FullStream() if stdout == "in-memory" else stack.enter_context(open(stdout, "w"))
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        before = _open_descriptors()
+        code = main(["bound-table"])
+        after = _open_descriptors()
+        err = sys.stderr.getvalue()
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert code == 1
+    assert err == f"tverskyci: error: cannot write the report: {reason}\n"
+    assert after == before
+
+
 @pytest.mark.parametrize(
     "redirect",
     [

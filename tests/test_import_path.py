@@ -43,10 +43,11 @@ def _python(code, *args, cwd=None):
 
 
 # The package modules and json that each short command loads. Every one
-# loads the package, the CLI, errors and estimation.
-_CLI = {"tverskyci", "tverskyci.cli", "tverskyci.errors", "tverskyci.estimation"}
+# loads the package, the CLI and errors, and all but help estimation.
+_CLI = {"tverskyci", "tverskyci.cli", "tverskyci.errors"}
 _LOADS = {
     ("--help",): set(),
+    ("ci", "--help"): set(),
     ("ci", "--counts", "300,60,40,600"): set(),
     ("ci", "--counts", "300,60,40,600", "--format", "json"): {"json"},
     ("ci", "--summary", "535,0.535,0.861,0.9", "--beta", "0.5"): set(),
@@ -67,7 +68,23 @@ def test_each_short_command_loads_only_the_modules_it_runs(tmp_path, argv):
     (tmp_path / "records.jsonl").write_text('{"z": 1, "a": 1}\n{"z": 0, "a": 0}\n')
     loaded = "*sorted(m for m in sys.modules if m == 'json' or m.startswith('tverskyci'))"
     code = _RUN_MAIN.replace('"numpy" in sys.modules', loaded)
-    assert _python(code, *argv, cwd=tmp_path) == ["0", *sorted(_CLI | _LOADS[argv])]
+    estimation = set() if "--help" in argv else {"tverskyci.estimation"}
+    assert _python(code, *argv, cwd=tmp_path) == ["0", *sorted(_CLI | estimation | _LOADS[argv])]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("ci", "--level", "x"), ("ci", "--counts", "1,2,3"), ("plan",), ("bound-table", "--x")],
+    ids=" ".join,
+)
+def test_a_usage_error_loads_no_estimation(argv):
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', '"tverskyci.estimation" in sys.modules')
+    assert _python(code, *argv) == ["1", "False"]
+
+
+def test_importing_the_package_loads_only_errors():
+    code = "import sys, tverskyci\nprint(*sorted(m for m in sys.modules if 'tverskyci' in m))"
+    assert _python(code) == ["tverskyci", "tverskyci.errors"]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tverskyci import (
     ConfusionCounts,
@@ -194,3 +197,25 @@ def test_plan_guarantee_closure():
         )
         se = math.sqrt(asymptotic_variance(counts, params) / counts.n)
         assert se <= delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.tuples(*[st.floats(-1.3, 1.3).map(lambda x: 10.0**x)] * 2),
+    cells=st.tuples(st.integers(1, 10**6), *[st.integers(0, 10**6)] * 3),
+)
+def test_the_scaled_variance_is_at_most_the_exact_bound_and_the_profile_without_fp(weights, cells):
+    # variance * fn_weight * label_rate <= V(max weight), the exact bound (the
+    # planning constant is rounded). With no false positives it is the
+    # profile at fn_weight, which test_derivations.py derives; the profile
+    # is computed exactly here, because 1 - t loses digits as t nears 1.
+    params = TverskyParams(*weights)
+    counts = ConfusionCounts(*cells)
+    scaled = asymptotic_variance(counts, params) * params.fn_weight * counts.label_rate
+    assert scaled <= variance_bound(params).value * (1.0 + 1e-12)
+    face = counts._replace(fp=0)
+    errors = Fraction(params.fn_weight) * face.fn
+    t = face.tp / (face.tp + errors)
+    profile = t * (errors / (face.tp + errors)) * (1 - (1 - Fraction(params.fn_weight)) * t) ** 2
+    scaled = asymptotic_variance(face, params) * params.fn_weight * face.label_rate
+    assert scaled == pytest.approx(float(profile), rel=1e-12, abs=0.0)
