@@ -83,12 +83,15 @@ def _is_number(value: object, kind: str) -> bool:
     return isinstance(value, getattr(numbers, kind))
 
 
-def _require_count(value: object, name: str) -> int:
+def _require_count(value: object, name: str, least: int = 0, bits: int | None = None) -> int:
+    """An integer of at least ``least`` that, given ``bits``, is below 2**bits."""
     if isinstance(value, bool) or not (isinstance(value, int) or _is_number(value, "Integral")):
         raise InvalidParameterError(f"{name} must be an integer, got {_quote(value)}")
     out = int(value)
-    if out < 0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {_quote(out)}")
+    if out < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {_quote(out)}")
+    if bits is not None and out >= 2**bits:
+        raise InvalidParameterError(f"{name} must fit in {bits} bits, got {_quote(out)}")
     return out
 
 
@@ -186,9 +189,7 @@ class ConfusionCounts(_record("tp fn fp tn")):
 
     def scaled(self, k: int) -> "ConfusionCounts":
         """Counts multiplied cell-wise by a positive integer k."""
-        k = _require_count(k, "k")
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        k = _require_count(k, "k", 1)
         return ConfusionCounts(self.tp * k, self.fn * k, self.fp * k, self.tn * k)
 
 
@@ -245,10 +246,12 @@ class SummaryStats(_record("n tp_rate tversky tversky_sq")):
     __slots__ = ()
 
     def __new__(cls, n: int, tp_rate: float, tversky: float, tversky_sq: float) -> "SummaryStats":
-        n = _require_count(n, "n")
-        if n < 1:
-            raise InvalidParameterError("n must be >= 1")
-        fields = [_require_float_range(n), _require_real(tp_rate, "tp_rate")]
+        n = _require_count(n, "n", 1)
+        try:
+            float(n)  # as for counts, the variance is divided by n
+        except OverflowError:
+            raise InvalidParameterError(f"n must fit in a float, got {_quote(n)}") from None
+        fields = [n, _require_real(tp_rate, "tp_rate")]
         if not (0.0 <= fields[1] <= 1.0):  # nan fails it too
             raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {fields[1]!r}")
         for name, value in (("tversky", tversky), ("tversky_sq", tversky_sq)):

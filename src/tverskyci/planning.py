@@ -32,7 +32,7 @@ import math
 
 from . import _PLANNING_NAMES
 from .errors import InvalidParameterError
-from .estimation import TverskyParams, _record, _require_positive, _require_type
+from .estimation import TverskyParams, _record, _require_positive, _require_real, _require_type
 
 __all__ = sorted(_PLANNING_NAMES)
 
@@ -159,8 +159,8 @@ def required_total(delta: float, params: TverskyParams, prevalence: float) -> Pl
     event, so the totals coincide).
     """
     delta = _require_positive(delta, "delta")
-    prevalence = _require_positive(prevalence, "prevalence")
-    if prevalence > 1.0:
+    prevalence = _require_real(prevalence, "prevalence")
+    if not (0.0 < prevalence <= 1.0):  # nan fails it too
         raise InvalidParameterError(f"prevalence must lie in (0, 1], got {prevalence}")
     # The total first: its divisor is the smaller, so an error names prevalence.
     total = _ceil_snapped(planning_bound(params), delta, params, prevalence)

@@ -52,13 +52,6 @@ from .estimation import (
 
 __all__ = sorted(_SIMULATION_NAMES)
 
-def _require_bits(value: object, name: str, bits: int) -> int:
-    # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.
-    out = _require_count(value, name)
-    if out >= 2**bits:
-        raise InvalidParameterError(f"{name} must fit in {bits} bits, got {_quote(out)}")
-    return out
-
 
 # ---------------------------------------------------------------------------
 # generative model
@@ -141,14 +134,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _require_type(self.model, ScoreModel, "model")
         _require_type(self.params, TverskyParams, "params")
-        n = _require_bits(self.n, "n", 63)
-        reps = _require_bits(self.replications, "replications", 63)
-        if n < 1 or reps < 1:
-            raise InvalidParameterError("n and replications must be >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "replications", reps)
+        # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.
+        for name in ("n", "replications"):
+            object.__setattr__(self, name, _require_count(getattr(self, name), name, 1, 63))
         object.__setattr__(self, "level", _require_open_unit(self.level, "level"))
-        object.__setattr__(self, "seed", _require_bits(self.seed, "seed", 64))
+        object.__setattr__(self, "seed", _require_count(self.seed, "seed", bits=64))
 
 
 @dataclass(frozen=True)
@@ -309,13 +299,11 @@ def bootstrap_se(
     """
     _require_type(counts, ConfusionCounts, "counts")
     _require_type(params, TverskyParams, "params")
-    resamples = _require_bits(resamples, "resamples", 63)
-    if resamples < 100:
-        raise InvalidParameterError(f"resamples must be >= 100, got {resamples}")
-    seed = _require_bits(seed, "seed", 64)
+    resamples = _require_count(resamples, "resamples", 100, 63)
+    seed = _require_count(seed, "seed", bits=64)
     if counts.tp == 0:
         raise DegenerateSampleError("sample has no true positives; nothing to resample")
-    n = _require_bits(counts.n, "total count", 63)
+    n = _require_count(counts.n, "total count", bits=63)
     pvals = np.array([counts.tp, counts.fn, counts.fp, counts.tn]) / n
     try:
         indices = np.empty(resamples)
@@ -369,9 +357,7 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     An asymptotically normal estimator should show skewness and excess
     kurtosis near zero at scale.
     """
-    bins = _require_count(bins, "bins")
-    if bins < 1:
-        raise InvalidParameterError("bins must be >= 1")
+    bins = _require_count(bins, "bins", 1)
     try:
         values = np.asarray(estimates, dtype=float)
     except (TypeError, ValueError, OverflowError):

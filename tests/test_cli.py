@@ -414,6 +414,30 @@ def test_out_of_range_inputs_are_exit_4(capsys, argv):
     assert err.startswith("tverskyci: error: ") and err.count("\n") == 1
 
 
+_SMALL_SIMULATION = ("simulate", "--n", "50", "--replications", "20")
+_BOOTSTRAP_CHECK = ("bootstrap-check", "--counts", "300,60,40,600")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--n", "0"), "n must be >= 1, got 0"),
+        (("simulate", "--n", "-1"), "n must be >= 1, got -1"),
+        (("simulate", "--n", "0", "--replications", "0"), "n must be >= 1, got 0"),
+        (("simulate", "--replications", "-5"), "replications must be >= 1, got -5"),
+        ((*_SMALL_SIMULATION, "--bins", "0"), "bins must be >= 1, got 0"),
+        ((*_SMALL_SIMULATION, "--bins", "-1"), "bins must be >= 1, got -1"),
+        ((*_BOOTSTRAP_CHECK, "--resamples", "99"), "resamples must be >= 100, got 99"),
+        ((*_BOOTSTRAP_CHECK, "--resamples", "-1"), "resamples must be >= 100, got -1"),
+        (("plan", "--delta", "0.01", "--ez", "0"), "prevalence must lie in (0, 1], got 0.0"),
+        (("plan", "--delta", "0.01", "--ez", "inf"), "prevalence must lie in (0, 1], got inf"),
+        (("plan", "--delta", "0.01", "--ez", "2"), "prevalence must lie in (0, 1], got 2.0"),
+    ],
+)
+def test_an_out_of_range_argument_names_its_real_bound_once(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (4, "", f"tverskyci: error: {message}\n")
+
+
 def test_a_weight_whose_square_underflows_is_named_in_the_message(capsys):
     message = "weights (1e-200, 1) underflow when squared"
     result = run_cli(capsys, "ci", "--counts", "5,1,1,3", "--ab", "1e-200,1")

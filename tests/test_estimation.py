@@ -106,7 +106,7 @@ def test_counts_validation():
 def test_prediction_rate_and_scaling_by_zero():
     counts = ConfusionCounts(30, 20, 10, 40)
     assert counts.prediction_rate == 0.4
-    with pytest.raises(InvalidParameterError, match="^k must be >= 1$"):
+    with pytest.raises(InvalidParameterError, match="^k must be >= 1, got 0$"):
         counts.scaled(0)
 
 

@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 import tverskyci
 from tverskyci import (
     ConfusionCounts,
+    InvalidParameterError,
     ScoreModel,
     SimulationConfig,
+    SummaryStats,
     TverskyCIError,
     TverskyParams,
+    bootstrap_se,
+    histogram_summary,
+    required_total,
     summarize,
 )
 
@@ -96,3 +101,73 @@ def test_a_value_too_long_to_echo_gives_a_short_message(call):
     with pytest.raises(TverskyCIError) as info:
         call()
     assert len(str(info.value).encode()) < _MESSAGE_BYTES
+
+
+@pytest.mark.parametrize(
+    "call, accepted, rejected, message",
+    [
+        (lambda v: histogram_summary([0.25, 0.5], bins=v), 1, 0, "bins must be >= 1, got 0"),
+        (
+            lambda v: bootstrap_se(_COUNTS, _PARAMS, resamples=v),
+            100,
+            99,
+            "resamples must be >= 100, got 99",
+        ),
+        (lambda v: bootstrap_se(_COUNTS, _PARAMS, 100, v), 0, -1, "seed must be >= 0, got -1"),
+        (
+            lambda v: bootstrap_se(_COUNTS, _PARAMS, 100, v),
+            2**64 - 1,
+            2**64,
+            "seed must fit in 64 bits, got 18446744073709551616",
+        ),
+        (lambda v: SimulationConfig(_MODEL, v, 1, _PARAMS), 1, 0, "n must be >= 1, got 0"),
+        (
+            lambda v: SimulationConfig(_MODEL, 1, v, _PARAMS),
+            1,
+            -5,
+            "replications must be >= 1, got -5",
+        ),
+        (
+            lambda v: SimulationConfig(_MODEL, 1, 1, _PARAMS, seed=v),
+            0,
+            -1,
+            "seed must be >= 0, got -1",
+        ),
+        (
+            lambda v: SimulationConfig(_MODEL, 1, 1, _PARAMS, seed=v),
+            2**64 - 1,
+            2**64,
+            "seed must fit in 64 bits, got 18446744073709551616",
+        ),
+        (lambda v: SummaryStats(v, 0.5, 0.5, 0.5), 1, 0, "n must be >= 1, got 0"),
+        (lambda v: _COUNTS.scaled(v), 1, 0, "k must be >= 1, got 0"),
+        (lambda v: ConfusionCounts(v, 0, 0, 1), 0, -1, "tp must be >= 0, got -1"),
+        (
+            lambda v: required_total(0.01, _PARAMS, v),
+            1.0,
+            1.0000000000000002,
+            "prevalence must lie in (0, 1], got 1.0000000000000002",
+        ),
+    ],
+    ids=[
+        "bins",
+        "resamples",
+        "bootstrap-seed",
+        "bootstrap-seed-bits",
+        "n",
+        "replications",
+        "seed",
+        "seed-bits",
+        "summary-n",
+        "k",
+        "tp",
+        "prevalence",
+    ],
+)
+def test_a_bound_value_is_accepted_and_the_next_one_past_it_names_the_bound(
+    call, accepted, rejected, message
+):
+    call(accepted)
+    with pytest.raises(InvalidParameterError) as info:
+        call(rejected)
+    assert str(info.value) == message

@@ -11,6 +11,7 @@ from pathlib import Path
 from tests import mutants
 
 ROOT = Path(__file__).resolve().parent.parent
+MUTATED = ("estimation", "planning", "simulation")  # the modules the survivor list covers
 
 
 def _mutant_id(module: str, line_text: str, swap: str) -> str:
@@ -26,7 +27,7 @@ def _mutant_id(module: str, line_text: str, swap: str) -> str:
 
 
 def test_the_runner_kills_a_mutant_and_lets_an_equivalent_one_survive():
-    killed = _mutant_id("estimation", "if out < 0:", "Lt>LtE")  # _require_count rejects 0
+    killed = _mutant_id("estimation", "if out < least:", "Lt>LtE")  # rejects a count of 0
     equivalent = _mutant_id("planning", "if m < 1.0 else", "Lt>LtE")  # m == 1.0 returned before
     sources = {path: path.read_bytes() for path in (ROOT / "src" / "tverskyci").glob("*.py")}
     result = subprocess.run(
@@ -44,3 +45,10 @@ def test_the_runner_kills_a_mutant_and_lets_an_equivalent_one_survive():
     assert any(survivor["reason"].startswith("variance_bound: ") for survivor in survivors)
     # The mutants were written into a copy, never into the checkout.
     assert {path: path.read_bytes() for path in sources} == sources
+
+
+def test_every_listed_survivor_is_a_current_mutant():
+    # Ids name source lines, so an edit that moves a line leaves its id stale.
+    current = {ident for module in MUTATED for ident, _ in mutants.mutants(module)}
+    survivors = json.loads((ROOT / "tests" / "data" / "mutant_survivors.json").read_text())
+    assert sorted({survivor["id"] for survivor in survivors} - current) == []

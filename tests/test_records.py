@@ -162,10 +162,14 @@ def test_confusion_counts_messages(values, message):
 @pytest.mark.parametrize(
     "values, message",
     [
-        ((0, 0.5, 0.5, 0.5), "n must be >= 1"),
-        ((-3, 0.5, 0.5, 0.5), "n must be >= 0, got -3"),
+        ((0, 0.5, 0.5, 0.5), "n must be >= 1, got 0"),
+        ((-3, 0.5, 0.5, 0.5), "n must be >= 1, got -3"),
         ((2.0, 0.5, 0.5, 0.5), "n must be an integer, got 2.0"),
-        ((10**400, 0.5, 0.5, 0.5), "confusion counts are too large for floating point"),
+        pytest.param(
+            (10**400, 0.5, 0.5, 0.5),
+            f"n must fit in a float, got 1{'0' * 63}... (401 characters)",
+            id="n-past-the-float-range",
+        ),
         ((10, 1.5, 0.5, 0.5), "tp_rate must lie in [0, 1], got 1.5"),
         ((10, float("nan"), 0.5, 0.5), "tp_rate must lie in [0, 1], got nan"),
         ((10, -0.0001, 0.5, 0.5), "tp_rate must lie in [0, 1], got -0.0001"),
