@@ -7,10 +7,12 @@ swaps one operator, found with ``ast``: ``+``/``-``, ``*``/``/``, ``**`` to
 back with ``ast.unparse`` into a copy of ``src/``, ``tests/`` and what the
 tests read (``demos/``, ``perfbench/``, ``pyproject.toml``) in a temporary
 directory, one copy per worker; the checkout is never written. The test
-files run with ``-x``, fast ones first, and a mutant is killed when they
-fail. One JSON line is printed per mutant.
+files run with ``-x``, fast ones first (for ``cli`` and ``_commands``, the
+golden and CLI tests), and a mutant is killed when they fail. One JSON
+line is printed per mutant.
 
     python tests/mutants.py estimation planning simulation --workers 2
+    python tests/mutants.py cli _commands --workers 2
     python tests/mutants.py estimation --only 'estimation.py:103:10:Lt>LtE' \\
         --tests tests/test_records.py
 
@@ -69,6 +71,18 @@ FAST_FIRST = (
     "test_import_path.py",
     "test_ingest.py",
 )
+# Files that kill a module's mutants fastest, run ahead of FAST_FIRST's
+# order: the CLI's mutants change what the golden and CLI tests print.
+FIRST = {
+    "cli": ("test_golden.py", "test_cli.py"),
+    "_commands": ("test_golden.py", "test_cli.py"),
+}
+
+
+def tests_for(module: str) -> list[str]:
+    """The tier-1 test files for a module's mutants, in the order they run."""
+    first = FIRST.get(module, ())
+    return [f"tests/{name}" for name in (*first, *(n for n in FAST_FIRST if n not in first))]
 
 
 def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
@@ -138,15 +152,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    todo = [m for module in args.modules for m in mutants(module)]
+    tests = [str(Path(t).resolve().relative_to(ROOT)) for t in args.tests or ()]
+    todo = [
+        (ident, source, tests or tests_for(module))
+        for module in args.modules
+        for ident, source in mutants(module)
+    ]
     if args.only:
-        missing = set(args.only) - {ident for ident, _ in todo}
+        missing = set(args.only) - {m[0] for m in todo}
         if missing:
             parser.error(f"no such mutant: {', '.join(sorted(missing))}")
         todo = [m for m in todo if m[0] in args.only]
-    tests = [str(Path(t).resolve().relative_to(ROOT)) for t in args.tests or ()] or [
-        f"tests/{name}" for name in FAST_FIRST
-    ]
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copies: queue.Queue[Path] = queue.Queue()
         for worker in range(min(args.workers, len(todo)) or 1):
@@ -160,10 +176,10 @@ def main(argv: list[str] | None = None) -> int:
                     shutil.copy2(source, copy / name)
             copies.put(copy)
 
-        def run(mutant: tuple[str, str]) -> dict:
+        def run(mutant: tuple[str, str, list[str]]) -> dict:
             copy = copies.get()
             try:
-                return _run(copy, *mutant, tests)
+                return _run(copy, *mutant)
             finally:
                 copies.put(copy)
 

@@ -177,6 +177,15 @@ def test_simulate_single_replication_omits_histogram(capsys):
     assert "histogram diagnostics omitted" in err
 
 
+def test_simulate_two_replications_give_a_histogram(capsys):
+    # Two usable replications are the fewest that histogram_summary takes.
+    payload, err = run_json(
+        capsys, "simulate", "--n", "50", "--replications", "2", "--seed", "1", "--beta", "1"
+    )
+    assert payload["histogram"]["n"] == 2
+    assert err == ""
+
+
 def test_bootstrap_check_json(capsys):
     payload, _ = run_json(
         capsys,
@@ -427,6 +436,9 @@ _BOOTSTRAP_CHECK = ("bootstrap-check", "--counts", "300,60,40,600")
         (("simulate", "--replications", "-5"), "replications must be >= 1, got -5"),
         ((*_SMALL_SIMULATION, "--bins", "0"), "bins must be >= 1, got 0"),
         ((*_SMALL_SIMULATION, "--bins", "-1"), "bins must be >= 1, got -1"),
+        # One replication leaves no histogram, and so no check in histogram_summary.
+        (("simulate", "--n", "50", "--replications", "1", "--bins", "-7"), "bins must be >= 1, got -7"),
+        (("simulate", "--n", "50", "--replications", "1", "--bins", "0"), "bins must be >= 1, got 0"),
         ((*_BOOTSTRAP_CHECK, "--resamples", "99"), "resamples must be >= 100, got 99"),
         ((*_BOOTSTRAP_CHECK, "--resamples", "-1"), "resamples must be >= 100, got -1"),
         (("plan", "--delta", "0.01", "--ez", "0"), "prevalence must lie in (0, 1], got 0.0"),
@@ -436,6 +448,17 @@ _BOOTSTRAP_CHECK = ("bootstrap-check", "--counts", "300,60,40,600")
 )
 def test_an_out_of_range_argument_names_its_real_bound_once(capsys, argv, message):
     assert run_cli(capsys, *argv) == (4, "", f"tverskyci: error: {message}\n")
+
+
+def test_simulate_checks_bins_before_the_draw(capsys, monkeypatch):
+    from tverskyci import simulation
+
+    def no_draw(config):
+        raise AssertionError("the simulation ran before --bins was checked")
+
+    monkeypatch.setattr(simulation, "run_simulation", no_draw)
+    result = run_cli(capsys, *_SMALL_SIMULATION, "--bins", "0")
+    assert result == (4, "", "tverskyci: error: bins must be >= 1, got 0\n")
 
 
 def test_a_weight_whose_square_underflows_is_named_in_the_message(capsys):

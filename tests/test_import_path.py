@@ -43,8 +43,10 @@ def _python(code, *args, cwd=None):
 
 
 # The package modules and json that each short command loads. Every one
-# loads the package, the CLI and errors, and all but help estimation.
+# loads the package, the CLI and errors, and all but help the commands and
+# estimation.
 _CLI = {"tverskyci", "tverskyci.cli", "tverskyci.errors"}
+_LOADED = "*sorted(m for m in sys.modules if m == 'json' or m.startswith('tverskyci'))"
 _LOADS = {
     ("--help",): set(),
     ("ci", "--help"): set(),
@@ -66,10 +68,9 @@ _LOADS = {
 def test_each_short_command_loads_only_the_modules_it_runs(tmp_path, argv):
     (tmp_path / "records.csv").write_text("z,a\n1,1\n1,0\n0,1\n0,0\n", encoding="utf-8")
     (tmp_path / "records.jsonl").write_text('{"z": 1, "a": 1}\n{"z": 0, "a": 0}\n')
-    loaded = "*sorted(m for m in sys.modules if m == 'json' or m.startswith('tverskyci'))"
-    code = _RUN_MAIN.replace('"numpy" in sys.modules', loaded)
-    estimation = set() if "--help" in argv else {"tverskyci.estimation"}
-    assert _python(code, *argv, cwd=tmp_path) == ["0", *sorted(_CLI | estimation | _LOADS[argv])]
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', _LOADED)
+    computing = set() if "--help" in argv else {"tverskyci._commands", "tverskyci.estimation"}
+    assert _python(code, *argv, cwd=tmp_path) == ["0", *sorted(_CLI | computing | _LOADS[argv])]
 
 
 @pytest.mark.parametrize(
@@ -78,8 +79,29 @@ def test_each_short_command_loads_only_the_modules_it_runs(tmp_path, argv):
     ids=" ".join,
 )
 def test_a_usage_error_loads_no_estimation(argv):
-    code = _RUN_MAIN.replace('"numpy" in sys.modules', '"tverskyci.estimation" in sys.modules')
-    assert _python(code, *argv) == ["1", "False"]
+    # Nor the commands: parsing stops before they load.
+    code = _RUN_MAIN.replace('"numpy" in sys.modules', _LOADED)
+    assert _python(code, *argv) == ["1", *sorted(_CLI)]
+
+
+def test_no_command_loads_the_schemas():
+    # The schema builder is in schemas, which only the tests load.
+    commands = [
+        ["estimate", "--counts", "30,20,10,40"],
+        ["ci", "--counts", "300,60,40,600", "--format", "json"],
+        ["plan", "--delta", "0.02", "--ez", "0.3"],
+        ["bound-table", "--format", "json"],
+        ["simulate", "--n", "50", "--replications", "20", "--format", "json"],
+        ["bootstrap-check", "--counts", "30,20,10,40", "--resamples", "1000"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from tverskyci.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "print(*codes, 'tverskyci.schemas' in sys.modules)\n"
+    )
+    assert _python(code) == ["0"] * 6 + ["False"]
 
 
 def test_importing_the_package_loads_only_errors():

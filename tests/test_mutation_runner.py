@@ -11,7 +11,6 @@ from pathlib import Path
 from tests import mutants
 
 ROOT = Path(__file__).resolve().parent.parent
-MUTATED = ("estimation", "planning", "simulation")  # the modules the survivor list covers
 
 
 def _mutant_id(module: str, line_text: str, swap: str) -> str:
@@ -49,6 +48,17 @@ def test_the_runner_kills_a_mutant_and_lets_an_equivalent_one_survive():
 
 def test_every_listed_survivor_is_a_current_mutant():
     # Ids name source lines, so an edit that moves a line leaves its id stale.
-    current = {ident for module in MUTATED for ident, _ in mutants.mutants(module)}
     survivors = json.loads((ROOT / "tests" / "data" / "mutant_survivors.json").read_text())
-    assert sorted({survivor["id"] for survivor in survivors} - current) == []
+    listed = {survivor["id"] for survivor in survivors}
+    modules = {ident.split(".py:")[0] for ident in listed}
+    current = {ident for module in modules for ident, _ in mutants.mutants(module)}
+    assert sorted(listed - current) == []
+
+
+def test_cli_mutants_run_the_golden_and_cli_tests_first():
+    default = [f"tests/{name}" for name in mutants.FAST_FIRST]
+    assert mutants.tests_for("estimation") == default
+    for module in ("cli", "_commands"):
+        order = mutants.tests_for(module)
+        assert order[:2] == ["tests/test_golden.py", "tests/test_cli.py"]
+        assert sorted(order) == sorted(default)
