@@ -69,18 +69,18 @@ _N = {"type": "integer", "minimum": 1}
 
 _PARAMS = (("fp_weight", _POSITIVE, None), ("fn_weight", _POSITIVE, None))
 _WEIGHTS = "weights: fp={params[fp_weight]:g} fn={params[fn_weight]:g}"
+# The first two rows of each report on one sample.
+_SAMPLE = (("n", _N, ""), ("params", _PARAMS, _WEIGHTS.format))
 
 _ESTIMATE = (
-    ("n", _N, ""),
-    ("params", _PARAMS, _WEIGHTS.format),
+    *_SAMPLE,
     ("estimate", _UNIT, ".6f"),
     ("precision", _NULLABLE_NUMBER, ".6f"),
     ("recall", _NULLABLE_NUMBER, ".6f"),
 )
 
 _CI = (
-    ("n", _N, ""),
-    ("params", _PARAMS, _WEIGHTS.format),
+    *_SAMPLE,
     ("level", {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}, "g"),
     ("estimate", _UNIT, ".6f"),
     ("se", _NONNEGATIVE, ".6f"),
@@ -159,8 +159,7 @@ _SIMULATE = (
 )
 
 _BOOTSTRAP_CHECK = (
-    ("n", _N, ""),
-    ("params", _PARAMS, _WEIGHTS.format),
+    *_SAMPLE,
     ("analytic_se", _NONNEGATIVE, ".6f"),
     ("bootstrap_se", _NONNEGATIVE, ".6f"),
     ("relative_gap", _NULLABLE_NUMBER, ".6f"),

@@ -95,28 +95,29 @@ def _require_count(value: object, name: str, least: int = 0, bits: int | None = 
     return out
 
 
-def _require_real(value: object, name: str) -> float:
+# Each rule a real argument can be held to, keyed by the words of its error.
+_RULES = {
+    "be finite": math.isfinite,
+    "be finite and > 0": lambda x: math.isfinite(x) and x > 0.0,
+    "lie in (0, 1)": lambda x: 0.0 < x < 1.0,
+    "lie in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+    "lie in (0, 1]": lambda x: 0.0 < x <= 1.0,
+}
+
+
+def _require_real(value: object, name: str, rule: str) -> float:
+    """value as a float: a numbers.Real other than bool that keeps rule, a key
+    of _RULES (nan keeps none); an int past the float range is an infinity."""
     if isinstance(value, bool) or not (
         isinstance(value, (float, int)) or _is_number(value, "Real")
     ):
         raise InvalidParameterError(f"{name} must be a number, got {_quote(value)}")
     try:
-        return float(value)
-    except OverflowError:  # an int past the float range; the caller's range check names it
-        return math.inf if value > 0 else -math.inf
-
-
-def _require_finite(value: object, name: str) -> float:
-    out = _require_real(value, name)
-    if not math.isfinite(out):
-        raise InvalidParameterError(f"{name} must be finite, got {out!r}")
-    return out
-
-
-def _require_positive(value: object, name: str) -> float:
-    out = _require_real(value, name)
-    if not math.isfinite(out) or out <= 0.0:
-        raise InvalidParameterError(f"{name} must be finite and > 0, got {out}")
+        out = float(value)
+    except OverflowError:  # an int past the float range
+        out = math.inf if value > 0 else -math.inf
+    if not _RULES[rule](out):
+        raise InvalidParameterError(f"{name} must {rule}, got {out!r}")
     return out
 
 
@@ -131,13 +132,6 @@ def _require_float_range(n: int) -> int:
     except OverflowError:
         raise InvalidParameterError("confusion counts are too large for floating point") from None
     return n
-
-
-def _require_open_unit(value: object, name: str) -> float:
-    out = _require_real(value, name)
-    if not (0.0 < out < 1.0):
-        raise InvalidParameterError(f"{name} must lie in (0, 1), got {out}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +195,9 @@ class TverskyParams(_record("fp_weight fn_weight")):
     __slots__ = ()
 
     def __new__(cls, fp_weight: float, fn_weight: float) -> "TverskyParams":
-        fp_weight = _require_positive(fp_weight, "fp_weight")
-        return super().__new__(cls, fp_weight, _require_positive(fn_weight, "fn_weight"))
+        fp_weight = _require_real(fp_weight, "fp_weight", "be finite and > 0")
+        fn_weight = _require_real(fn_weight, "fn_weight", "be finite and > 0")
+        return super().__new__(cls, fp_weight, fn_weight)
 
     @property
     def max_weight(self) -> float:
@@ -226,7 +221,7 @@ def fbeta_to_tversky(beta: float) -> TverskyParams:
     to 1 up to floating-point rounding. beta=0.5 gives (0.8, 0.2), beta=1
     gives (0.5, 0.5), beta=2 gives (0.2, 0.8).
     """
-    b = _require_positive(beta, "beta")
+    b = _require_real(beta, "beta", "be finite and > 0")
     b2 = b * b
     if b2 == math.inf or b2 == 0.0:  # either would make a weight 0
         way = "overflows" if b2 else "underflows"
@@ -251,15 +246,10 @@ class SummaryStats(_record("n tp_rate tversky tversky_sq")):
             float(n)  # as for counts, the variance is divided by n
         except OverflowError:
             raise InvalidParameterError(f"n must fit in a float, got {_quote(n)}") from None
-        fields = [n, _require_real(tp_rate, "tp_rate")]
-        if not (0.0 <= fields[1] <= 1.0):  # nan fails it too
-            raise InvalidParameterError(f"tp_rate must lie in [0, 1], got {fields[1]!r}")
-        for name, value in (("tversky", tversky), ("tversky_sq", tversky_sq)):
-            value = _require_real(value, name)
-            if not (0.0 < value <= 1.0):
-                raise InvalidParameterError(f"{name} must lie in (0, 1], got {value!r}")
-            fields.append(value)
-        return super().__new__(cls, *fields)
+        tp_rate = _require_real(tp_rate, "tp_rate", "lie in [0, 1]")
+        tversky = _require_real(tversky, "tversky", "lie in (0, 1]")
+        tversky_sq = _require_real(tversky_sq, "tversky_sq", "lie in (0, 1]")
+        return super().__new__(cls, n, tp_rate, tversky, tversky_sq)
 
 
 class EstimateReport(
@@ -481,7 +471,7 @@ def confidence_interval(
     interval with ``at_boundary`` set; callers should surface that flag as
     a warning since the normal approximation carries no information there.
     """
-    level = _require_open_unit(level, "level")
+    level = _require_real(level, "level", "lie in (0, 1)")
     estimate, variance = _index_and_variance(data, params)
     se = math.sqrt(variance / data.n)
     half_width = _critical_value(level) * se
@@ -510,7 +500,7 @@ def _phi(x: float) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc, accurate to machine precision."""
-    return _phi(_require_finite(x, "x"))
+    return _phi(_require_real(x, "x", "be finite"))
 
 
 def normal_quantile(p: float) -> float:
@@ -523,7 +513,7 @@ def normal_quantile(p: float) -> float:
     Against mpmath at 360 digits it stays within 2.8 * eps * |x| on the
     999 levels k/1000, near p = 0.5, and in the tails down to p = 1e-300.
     """
-    p = _require_open_unit(p, "p")
+    p = _require_real(p, "p", "lie in (0, 1)")
     try:
         from _statistics import _normal_dist_inv_cdf
     except ImportError:

@@ -46,7 +46,7 @@ from collections.abc import Callable, Iterable
 
 from . import _INGEST_NAMES, MODES
 from .errors import DataError, InvalidParameterError
-from .estimation import ConfusionCounts, _quote, _require_finite
+from .estimation import ConfusionCounts, _quote, _require_real
 
 __all__ = sorted(_INGEST_NAMES)
 
@@ -100,7 +100,7 @@ def ingest(path: str, mode: str = "auto", threshold: float = 0.5) -> ConfusionCo
         raise InvalidParameterError(f"path must be a str, got {type(path).__name__}")
     if not isinstance(mode, str) or mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {_quote(mode)}")
-    threshold = _require_finite(threshold, "threshold")
+    threshold = _require_real(threshold, "threshold", "be finite")
     try:
         cells = _count_file(path, mode, threshold, split=True)
         if cells is None:  # a range failed: one process finds its first bad line

@@ -32,7 +32,7 @@ import math
 
 from . import _PLANNING_NAMES
 from .errors import InvalidParameterError
-from .estimation import TverskyParams, _record, _require_positive, _require_real, _require_type
+from .estimation import TverskyParams, _record, _require_real, _require_type
 
 __all__ = sorted(_PLANNING_NAMES)
 
@@ -140,7 +140,7 @@ def required_events(delta: float, params: TverskyParams) -> PlanResult:
 
     ceil(V / (delta^2 * fn_weight)) with V = planning_bound(params).
     """
-    delta = _require_positive(delta, "delta")
+    delta = _require_real(delta, "delta", "be finite and > 0")
     return PlanResult(
         required_events=_ceil_snapped(planning_bound(params), delta, params),
         required_total=None,
@@ -158,10 +158,8 @@ def required_total(delta: float, params: TverskyParams, prevalence: float) -> Pl
     populated as well. prevalence = 1 is accepted (every record is an
     event, so the totals coincide).
     """
-    delta = _require_positive(delta, "delta")
-    prevalence = _require_real(prevalence, "prevalence")
-    if not (0.0 < prevalence <= 1.0):  # nan fails it too
-        raise InvalidParameterError(f"prevalence must lie in (0, 1], got {prevalence}")
+    delta = _require_real(delta, "delta", "be finite and > 0")
+    prevalence = _require_real(prevalence, "prevalence", "lie in (0, 1]")
     # The total first: its divisor is the smaller, so an error names prevalence.
     total = _ceil_snapped(planning_bound(params), delta, params, prevalence)
     return required_events(delta, params)._replace(required_total=total, prevalence=prevalence)

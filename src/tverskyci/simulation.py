@@ -44,8 +44,7 @@ from .estimation import (
     _phi,
     _quote,
     _require_count,
-    _require_finite,
-    _require_open_unit,
+    _require_real,
     _require_type,
     _tversky_and_variance,
 )
@@ -68,9 +67,9 @@ class ScoreModel:
     threshold: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prevalence", _require_open_unit(self.prevalence, "prevalence"))
-        for name in ("shift", "threshold"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+        rules = {"prevalence": "lie in (0, 1)", "shift": "be finite", "threshold": "be finite"}
+        for name, rule in rules.items():
+            object.__setattr__(self, name, _require_real(getattr(self, name), name, rule))
 
     @property
     def cell_probabilities(self) -> tuple[float, float, float, float]:
@@ -137,7 +136,7 @@ class SimulationConfig:
         # Seeds key Philox as uint64; sizes and trial counts reach numpy as int64.
         for name in ("n", "replications"):
             object.__setattr__(self, name, _require_count(getattr(self, name), name, 1, 63))
-        object.__setattr__(self, "level", _require_open_unit(self.level, "level"))
+        object.__setattr__(self, "level", _require_real(self.level, "level", "lie in (0, 1)"))
         object.__setattr__(self, "seed", _require_count(self.seed, "seed", bits=64))
 
 
@@ -190,6 +189,14 @@ def _intervals(
     return estimate, se, lower, upper
 
 
+def _empty(size: int, need: str) -> np.ndarray:
+    """np.empty(size), or an InvalidParameterError saying what the array needs."""
+    try:
+        return np.empty(size)
+    except (MemoryError, ValueError):  # ValueError: larger than the address space
+        raise InvalidParameterError(f"{need}, more than can be allocated") from None
+
+
 def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, int]:
     """The population index, the estimate and se of each replication with a
     true positive, in replication order, and how many of their intervals
@@ -209,13 +216,9 @@ def _draw(config: SimulationConfig) -> tuple[float, np.ndarray, np.ndarray, int]
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     generator = np.random.Generator(bit_generator)
-    try:
-        estimates, ses = np.empty(reps), np.empty(reps)
-    except (MemoryError, ValueError):  # ValueError: larger than the address space
-        raise InvalidParameterError(
-            f"replications={reps} needs at least {16 * reps} bytes of memory for the "
-            "estimates and standard errors, more than can be allocated"
-        ) from None
+    need = f"replications={reps} needs at least {16 * reps} bytes of memory for the "
+    need += "estimates and standard errors"
+    estimates, ses = _empty(reps, need), _empty(reps, need)
     cells = np.empty((min(_CHUNK, reps), 4), dtype=np.int64)
     size = covered = 0
     for start in range(0, reps, _CHUNK):
@@ -305,13 +308,7 @@ def bootstrap_se(
         raise DegenerateSampleError("sample has no true positives; nothing to resample")
     n = _require_count(counts.n, "total count", bits=63)
     pvals = np.array([counts.tp, counts.fn, counts.fp, counts.tn]) / n
-    try:
-        indices = np.empty(resamples)
-    except (MemoryError, ValueError):  # ValueError: larger than the address space
-        raise InvalidParameterError(
-            f"resamples={resamples} needs {8 * resamples} bytes of memory, "
-            "more than can be allocated"
-        ) from None
+    indices = _empty(resamples, f"resamples={resamples} needs {8 * resamples} bytes of memory")
     rng = np.random.default_rng(seed)
     size = 0
     # Successive chunks consume the stream exactly as one draw of all rows.

@@ -8,11 +8,14 @@ back with ``ast.unparse`` into a copy of ``src/``, ``tests/`` and what the
 tests read (``demos/``, ``perfbench/``, ``pyproject.toml``) in a temporary
 directory, one copy per worker; the checkout is never written. The test
 files run with ``-x``, fast ones first (for ``cli`` and ``_commands``, the
-golden and CLI tests), and a mutant is killed when they fail. One JSON
-line is printed per mutant.
+golden and CLI tests; for ``ingest`` and ``_split``, the ingest tests), in
+a session of their own whose processes are all ended afterwards. A mutant
+survives only a session that exits 0 and ends with pytest's summary of
+passes and no failure. One JSON line is printed per mutant.
 
     python tests/mutants.py estimation planning simulation --workers 2
     python tests/mutants.py cli _commands --workers 2
+    python tests/mutants.py _split --workers 2
     python tests/mutants.py estimation --only 'estimation.py:103:10:Lt>LtE' \\
         --tests tests/test_records.py
 
@@ -28,7 +31,9 @@ import ast
 import json
 import os
 import queue
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -77,6 +82,7 @@ FIRST = {
     "cli": ("test_golden.py", "test_cli.py"),
     "_commands": ("test_golden.py", "test_cli.py"),
 }
+FIRST["ingest"] = FIRST["_split"] = ("test_ingest.py",)
 
 
 def tests_for(module: str) -> list[str]:
@@ -122,6 +128,18 @@ def mutants(module: str) -> list[tuple[str, str]]:
     return out
 
 
+def verdict(returncode: int, stdout: bytes) -> str:
+    """"survived" if the session exited 0 and its last line is pytest's
+    summary, with passes and no failure or error; else "killed". A mutant
+    can make the started process exit 0 early while a forked copy of it
+    runs the rest of the session: only the summary shows how that ended."""
+    last = (stdout.decode(errors="replace").strip().splitlines() or [""])[-1]
+    summary = re.fullmatch(r"(\d+ [a-z]+, )*\d+ [a-z]+ in [\d.]+s( \(.*\))?", last)
+    words = set(re.findall(r"\d+ ([a-z]+)", last))
+    clean = summary and "passed" in words and not words & {"failed", "error", "errors"}
+    return "survived" if returncode == 0 and clean else "killed"
+
+
 def _run(copy: Path, ident: str, source: str, tests: list[str]) -> dict:
     target = copy / "src" / "tverskyci" / ident.split(":")[0]
     original = target.read_text(encoding="utf-8")
@@ -129,14 +147,26 @@ def _run(copy: Path, ident: str, source: str, tests: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-p", "no:cacheprovider"]
     start = time.perf_counter()
+    # A session of its own, so that what the mutant forks is ended with it.
+    session = subprocess.Popen(
+        command + tests,
+        cwd=copy,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
     try:
-        result = subprocess.run(
-            command + tests, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT
-        )
-        status = "survived" if result.returncode == 0 else "killed"
+        stdout = session.communicate(timeout=TIMEOUT)[0]
+        status = verdict(session.returncode, stdout)
     except subprocess.TimeoutExpired:
         status = "timeout"
     finally:
+        try:
+            os.killpg(session.pid, signal.SIGKILL)
+        except ProcessLookupError:  # every process of the session has ended
+            pass
+        session.communicate()
         target.write_text(original, encoding="utf-8")
     return {"id": ident, "status": status, "seconds": round(time.perf_counter() - start, 1)}
 

@@ -63,6 +63,18 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+_PID = os.getpid()  # the process that imported this file
+
+
+def test_a_split_ingest_returns_in_the_process_that_called_it(tmp_path):
+    path = _write(tmp_path, "records.csv", "z,a\n1,1\n0,0\n1,0\n")
+    with _split() as (forks, counts):
+        assert ingest(path) == ConfusionCounts(tp=1, fn=1, fp=0, tn=1)
+    assert len(forks) == 2
+    assert counts == [True]
+    assert os.getpid() == _PID
+
+
 def _rows_from_counts(counts):
     rows = [(1, 1)] * counts.tp + [(1, 0)] * counts.fn
     rows += [(0, 1)] * counts.fp + [(0, 0)] * counts.tn
@@ -803,6 +815,24 @@ def test_a_counted_long_line_peaks_at_three_times_its_size_in_a_split_range(
     assert len(forks) == 1
     assert counts == [True]
     assert peak < 3.5 * _LONG  # 3.0 measured
+
+
+def test_a_file_that_is_one_range_is_counted_serially_below_three_times_its_line(tmp_path):
+    # One long row after the header: every cut past byte 0 falls at the end
+    # of the file, so it would be one range, and the serial count reads it
+    # with a lower peak than a range's three times the line.
+    path = _write(tmp_path, "long.csv", "z,score\n1," + "0" * _LONG + "1\n")
+    with _split(2, min_range=_ingest._MIN_RANGE) as (forks, counts):
+        tracemalloc.start()
+        try:
+            result = ingest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result == ConfusionCounts(tp=1, fn=0, fp=0, tn=0)
+    assert forks == []
+    assert counts == [True]
+    assert peak < 2.5 * _LONG  # 2.0 measured; a range of it, 3.0
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])

@@ -3,6 +3,8 @@ subclass, whatever it is given, and an error's message stays under 1 KiB."""
 
 import inspect
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from tverskyci import (
     TverskyCIError,
     TverskyParams,
     bootstrap_se,
+    confidence_interval,
+    fbeta_to_tversky,
     histogram_summary,
+    ingest,
+    normal_cdf,
+    normal_quantile,
+    required_events,
     required_total,
     summarize,
 )
@@ -103,6 +111,18 @@ def test_a_value_too_long_to_echo_gives_a_short_message(call):
     assert len(str(info.value).encode()) < _MESSAGE_BYTES
 
 
+_MAX = 1.7976931348623157e308  # the largest float
+
+
+def _ingest_one_row(threshold):
+    """ingest of a one-row score file, in a folder removed afterwards."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "records.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("z,score\n1,0.5\n")
+        return ingest(path, threshold=threshold)
+
+
 @pytest.mark.parametrize(
     "call, accepted, rejected, message",
     [
@@ -148,6 +168,77 @@ def test_a_value_too_long_to_echo_gives_a_short_message(call):
             1.0000000000000002,
             "prevalence must lie in (0, 1], got 1.0000000000000002",
         ),
+        # Each real argument at the edge of its rule; beta's square is its edge.
+        (
+            lambda v: TverskyParams(v, 0.5),
+            5e-324,
+            0.0,
+            "fp_weight must be finite and > 0, got 0.0",
+        ),
+        (
+            lambda v: TverskyParams(0.5, v),
+            _MAX,
+            math.inf,
+            "fn_weight must be finite and > 0, got inf",
+        ),
+        (
+            fbeta_to_tversky,
+            1.3407807929942596e154,
+            1.3407807929942597e154,
+            "beta 1.34078e+154 overflows when squared",
+        ),
+        (
+            lambda v: SummaryStats(10, v, 0.5, 0.5),
+            1.0,
+            1.0000000000000002,
+            "tp_rate must lie in [0, 1], got 1.0000000000000002",
+        ),
+        (
+            lambda v: SummaryStats(10, 0.5, v, 0.5),
+            5e-324,
+            0.0,
+            "tversky must lie in (0, 1], got 0.0",
+        ),
+        (
+            lambda v: SummaryStats(10, 0.5, 0.5, v),
+            1.0,
+            1.0000000000000002,
+            "tversky_sq must lie in (0, 1], got 1.0000000000000002",
+        ),
+        (
+            lambda v: ScoreModel(v, 2.5, 1.0),
+            0.9999999999999999,
+            1.0,
+            "prevalence must lie in (0, 1), got 1.0",
+        ),
+        (lambda v: ScoreModel(0.5, v, 1.0), _MAX, math.inf, "shift must be finite, got inf"),
+        (
+            lambda v: ScoreModel(0.5, 2.5, v),
+            -_MAX,
+            -math.inf,
+            "threshold must be finite, got -inf",
+        ),
+        (
+            lambda v: SimulationConfig(_MODEL, 1, 1, _PARAMS, v),
+            5e-324,
+            0.0,
+            "level must lie in (0, 1), got 0.0",
+        ),
+        (
+            lambda v: confidence_interval(_COUNTS, _PARAMS, v),
+            0.9999999999999999,
+            1.0,
+            "level must lie in (0, 1), got 1.0",
+        ),
+        (normal_cdf, -_MAX, -math.inf, "x must be finite, got -inf"),
+        (normal_quantile, 5e-324, 0.0, "p must lie in (0, 1), got 0.0"),
+        (
+            lambda v: required_events(v, _PARAMS),
+            _MAX,
+            math.inf,
+            "delta must be finite and > 0, got inf",
+        ),
+        (_ingest_one_row, _MAX, math.inf, "threshold must be finite, got inf"),
     ],
     ids=[
         "bins",
@@ -162,6 +253,21 @@ def test_a_value_too_long_to_echo_gives_a_short_message(call):
         "k",
         "tp",
         "prevalence",
+        "fp_weight",
+        "fn_weight",
+        "beta",
+        "tp_rate",
+        "tversky",
+        "tversky_sq",
+        "model-prevalence",
+        "shift",
+        "threshold",
+        "simulation-level",
+        "level",
+        "x",
+        "p",
+        "delta",
+        "ingest-threshold",
     ],
 )
 def test_a_bound_value_is_accepted_and_the_next_one_past_it_names_the_bound(
