@@ -12,20 +12,19 @@ from __future__ import annotations
 import argparse
 
 from .errors import UsageError
+from .estimation import (
+    ConfusionCounts, SummaryStats, TverskyParams, _consistent_ratios, _require_count,
+    confidence_interval, fbeta_to_tversky, precision, recall, tversky_index,
+)
 
 
 def _resolve_params(args: argparse.Namespace) -> TverskyParams:
-    # Each command loads estimation where it runs, so help and usage errors never do.
-    from .estimation import TverskyParams, fbeta_to_tversky
-
     if args.ab is not None:
         return TverskyParams(*args.ab)
     return fbeta_to_tversky(args.beta if args.beta is not None else 1.0)
 
 
 def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
-    from .estimation import ConfusionCounts, SummaryStats
-
     # bootstrap-check has no --summary flag, so it always gets counts
     if getattr(args, "summary", None) is not None:
         return SummaryStats(*args.summary)
@@ -44,10 +43,10 @@ def _resolve_data(args: argparse.Namespace) -> ConfusionCounts | SummaryStats:
 # ---------------------------------------------------------------------------
 # A row is (name, schema, text). The schema is a JSON Schema fragment, or the
 # table of an object field; _fields, _render and schemas._schema read this
-# layout, and schemas.report_schemas() builds each report's schema from its
-# table. The text is a format spec for the line "name: value" (n/a for null);
-# or a function of the object's fields, as keywords, for a line that shows
-# several of them (no line for a null field); or None for no line.
+# layout, and schemas.SCHEMAS_BY_COMMAND holds the schema built from each
+# report's table. The text is a format spec for the line "name: value" (n/a
+# for null); or a function of the object's fields, as keywords, for a line
+# that shows several of them (no line for a null field); or None for no line.
 
 
 class _MaybeNull(tuple):
@@ -205,8 +204,6 @@ def _render(table: tuple, fields: dict | None) -> list[str]:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
-    from .estimation import SummaryStats, _consistent_ratios, precision, recall, tversky_index
-
     params = _resolve_params(args)
     data = _resolve_data(args)
     warnings: list[str] = []
@@ -226,8 +223,6 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[object, list[str]]:
 
 
 def _cmd_ci(args: argparse.Namespace) -> tuple[object, list[str]]:
-    from .estimation import confidence_interval
-
     params = _resolve_params(args)
     report = confidence_interval(_resolve_data(args), params, args.level)
     warnings = []
@@ -257,8 +252,6 @@ def _cmd_bound_table(args: argparse.Namespace) -> tuple[object, list[str]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
-    from .estimation import _require_count
-
     # simulation loads numpy; only this command and bootstrap-check import it
     from .simulation import ScoreModel, SimulationConfig, histogram_summary, run_simulation
 
@@ -292,7 +285,6 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[object, list[str]]:
 
 
 def _cmd_bootstrap_check(args: argparse.Namespace) -> tuple[object, list[str]]:
-    from .estimation import confidence_interval
     from .simulation import bootstrap_se
 
     params = _resolve_params(args)

@@ -257,4 +257,4 @@ def _run(argv: Sequence[str] | None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

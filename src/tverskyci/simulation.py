@@ -356,11 +356,9 @@ def histogram_summary(estimates: object, bins: int = 30) -> HistogramSummary:
     """
     bins = _require_count(bins, "bins", 1)
     try:
-        values = np.asarray(estimates, dtype=float)
+        values = np.asarray(estimates, dtype=float).ravel()
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError("estimates must be numbers") from None
-    if values.ndim != 1:
-        values = values.ravel()
     if values.size < 2:
         raise InvalidParameterError("need at least 2 estimates to summarize")
     if not np.all(np.isfinite(values)):

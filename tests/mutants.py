@@ -16,7 +16,7 @@ passes and no failure. One JSON line is printed per mutant.
     python tests/mutants.py estimation planning simulation --workers 2
     python tests/mutants.py cli _commands --workers 2
     python tests/mutants.py _split --workers 2
-    python tests/mutants.py estimation --only 'estimation.py:103:10:Lt>LtE' \\
+    python tests/mutants.py estimation --only 'estimation.py:_require_count:Lt>LtE:1' \\
         --tests tests/test_records.py
 
 Survivors that no test can kill are listed, each with its reason, in
@@ -91,40 +91,50 @@ def tests_for(module: str) -> list[str]:
     return [f"tests/{name}" for name in (*first, *(n for n in FAST_FIRST if n not in first))]
 
 
-def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
+def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None, str]]:
     """Every operator that SWAPS changes, in source order: a BinOp, or one
-    comparison of a Compare with its index."""
-    sites: list[tuple[ast.AST, int | None]] = []
-    for node in ast.walk(tree):
+    comparison of a Compare with its index; each with the dotted name of the
+    innermost def or class around it, or <module>."""
+    sites: list[tuple[ast.AST, int | None, str]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
         if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
-            sites.append((node, None))
+            sites.append((node, None, scope))
         elif isinstance(node, ast.Compare):
-            sites += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
+            sites.extend((node, i, scope) for i, op in enumerate(node.ops) if type(op) in SWAPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
     return sorted(sites, key=lambda site: (site[0].lineno, site[0].col_offset, site[1] or 0))
 
 
 def mutants(module: str) -> list[tuple[str, str]]:
     """(id, mutated source) of each mutant of src/tverskyci/<module>.py. An id
-    is file:line:column:Old>New, at the end of the operator's left operand in
-    the unmutated file."""
+    is file:scope:Old>New:k, for the k-th such swap in its scope (from 1), so
+    that an edit outside its scope leaves it as it is."""
     name = f"{module}.py"
     source = (ROOT / "src" / "tverskyci" / name).read_text(encoding="utf-8")
     tree = ast.parse(source)
     out = []
-    for node, position in _sites(tree):
+    seen: dict[str, int] = {}
+    for node, position, scope in _sites(tree):
         # Swap the operator, write the tree out, and put the operator back.
         if position is None:
-            left, old = node.left, node.op
+            old = node.op
             node.op = new = SWAPS[type(old)]()
             mutated = ast.unparse(tree)
             node.op = old
         else:
-            left, old = ([node.left, *node.comparators][position], node.ops[position])
+            old = node.ops[position]
             node.ops[position] = new = SWAPS[type(old)]()
             mutated = ast.unparse(tree)
             node.ops[position] = old
-        where = f"{name}:{left.end_lineno}:{left.end_col_offset}"
-        out.append((f"{where}:{type(old).__name__}>{type(new).__name__}", mutated))
+        swap = f"{name}:{scope}:{type(old).__name__}>{type(new).__name__}"
+        seen[swap] = seen.get(swap, 0) + 1
+        out.append((f"{swap}:{seen[swap]}", mutated))
     return out
 
 

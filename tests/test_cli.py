@@ -25,7 +25,7 @@ from tverskyci import (
     replication_estimates,
 )
 from tverskyci.cli import build_parser, main
-from tverskyci.schemas import CI_SCHEMA, PLAN_SCHEMA, SCHEMAS_BY_COMMAND, SIMULATE_SCHEMA
+from tverskyci.schemas import SCHEMAS_BY_COMMAND
 
 from tests._reference import ORACLE
 
@@ -197,6 +197,18 @@ def test_bootstrap_check_json(capsys):
     )
     assert abs(payload["relative_gap"]) < 0.10
     assert payload["bootstrap_se"] == pytest.approx(payload["analytic_se"], rel=0.10)
+
+
+def test_bootstrap_check_of_a_sample_with_no_errors_has_no_relative_gap(capsys):
+    # With fp = fn = 0 the index is 1 in every resample, so both se are 0
+    # and their relative gap is undefined.
+    argv = ("bootstrap-check", "--counts", "10,0,0,0", "--resamples", "100")
+    payload, err = run_json(capsys, *argv)
+    assert (payload["analytic_se"], payload["bootstrap_se"]) == (0, 0)
+    assert (payload["relative_gap"], err) == (None, "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "relative_gap: n/a\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +565,11 @@ def test_dataclass_payloads_have_exactly_the_schema_fields():
     def properties(schema):
         return set(schema["properties"])
 
-    simulate = SIMULATE_SCHEMA["properties"]
-    assert _fields(TverskyParams) == properties(CI_SCHEMA["properties"]["params"])
-    assert _fields(EstimateReport, "at_boundary") | {"command", "params"} == properties(CI_SCHEMA)
-    assert _fields(PlanResult) | {"command", "bound"} == properties(PLAN_SCHEMA)
+    ci, plan = SCHEMAS_BY_COMMAND["ci"], SCHEMAS_BY_COMMAND["plan"]
+    simulate = SCHEMAS_BY_COMMAND["simulate"]["properties"]
+    assert _fields(TverskyParams) == properties(ci["properties"]["params"])
+    assert _fields(EstimateReport, "at_boundary") | {"command", "params"} == properties(ci)
+    assert _fields(PlanResult) | {"command", "bound"} == properties(plan)
     assert not _fields(ScoreModel) & _fields(SimulationConfig)
     config = _fields(ScoreModel) | _fields(SimulationConfig, "model")
     assert config == properties(simulate["config"])
@@ -734,21 +747,28 @@ def _open_descriptors():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.parametrize("stdout", ["in-memory", "/dev/full"])
+@pytest.mark.parametrize("stdout", ["in-memory", "/dev/full", None])
 def test_main_returns_1_for_a_report_that_cannot_be_written(monkeypatch, stdout):
     # main(argv) returns to its caller with the one error line, whether
-    # stdout has a descriptor or not, and leaves no descriptor open.
+    # stdout has a descriptor or not, and leaves no descriptor open. A
+    # stdout of None, as with fd 1 closed, fails as the closed descriptor does.
     if stdout == "/dev/full" and not os.path.exists(stdout):
         pytest.skip("no /dev/full on this system")
     with contextlib.ExitStack() as stack:
-        stream = _FullStream() if stdout == "in-memory" else stack.enter_context(open(stdout, "w"))
+        if stdout == "in-memory":
+            stream = _FullStream()
+        elif stdout is None:
+            stream = None
+        else:
+            stream = stack.enter_context(open(stdout, "w"))
         monkeypatch.setattr(sys, "stdout", stream)
         monkeypatch.setattr(sys, "stderr", io.StringIO())
         before = _open_descriptors()
         code = main(["bound-table"])
         after = _open_descriptors()
         err = sys.stderr.getvalue()
-    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    failure = errno.EBADF if stdout is None else errno.ENOSPC
+    reason = f"[Errno {failure}] {os.strerror(failure)}"
     assert code == 1
     assert err == f"tverskyci: error: cannot write the report: {reason}\n"
     assert after == before

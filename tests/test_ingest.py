@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -885,6 +886,29 @@ def test_split_gives_the_serial_outcome_and_reaps_every_worker(tmp_path, raw, ou
     assert counts == ([True] if isinstance(result, ConfusionCounts) else [True, False])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_fork_that_fails_brings_the_serial_count(tmp_path):
+    # The second fork fails as it does at the process limit: the first worker
+    # is reaped, every pipe end is closed, and one process counts the file.
+    path = _write(tmp_path, "records.csv", "z,a\n1,1\n0,0\n1,0\n")
+    with _split() as (forks, counts), pytest.MonkeyPatch.context() as patch:
+        fork, calls = os.fork, []
+
+        def second_fork_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        patch.setattr(os, "fork", second_fork_fails)
+        before = len(os.listdir("/proc/self/fd"))
+        assert ingest(path) == ConfusionCounts(tp=1, fn=1, fp=0, tn=1)
+        after = len(os.listdir("/proc/self/fd"))
+    assert len(forks) == 1
+    assert counts == [True, False]
+    assert after == before
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The mutation runner, tests/mutants.py, kept working on two mutants against
 one fast test file: one that the file kills, and one listed as an equivalent
-survivor. Both ids are found from the current source, so that an edit that
-moves their lines does not break this test."""
+survivor. An id names the mutant's scope, not its line, so an edit that
+moves their lines leaves these ids as they are."""
 
 import json
 import subprocess
@@ -16,21 +16,9 @@ from tests import mutants
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _mutant_id(module: str, line_text: str, swap: str) -> str:
-    """The id of the one mutant that applies `swap` on the line holding `line_text`."""
-    lines = (ROOT / "src" / "tverskyci" / f"{module}.py").read_text(encoding="utf-8").splitlines()
-    (lineno,) = [number for number, line in enumerate(lines, 1) if line_text in line]
-    (ident,) = [
-        ident
-        for ident, _ in mutants.mutants(module)
-        if ident.split(":")[1] == str(lineno) and ident.endswith(f":{swap}")
-    ]
-    return ident
-
-
 def test_the_runner_kills_a_mutant_and_lets_an_equivalent_one_survive():
-    killed = _mutant_id("estimation", "if out < least:", "Lt>LtE")  # rejects a count of 0
-    equivalent = _mutant_id("planning", "if m < 1.0 else", "Lt>LtE")  # m == 1.0 returned before
+    killed = "estimation.py:_require_count:Lt>LtE:1"  # rejects a count of 0
+    equivalent = "planning.py:variance_bound:Lt>LtE:1"  # m == 1.0 has returned before
     sources = {path: path.read_bytes() for path in (ROOT / "src" / "tverskyci").glob("*.py")}
     result = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "mutants.py"), "estimation", "planning"]
@@ -50,7 +38,7 @@ def test_the_runner_kills_a_mutant_and_lets_an_equivalent_one_survive():
 
 
 def test_every_listed_survivor_is_a_current_mutant():
-    # Ids name source lines, so an edit that moves a line leaves its id stale.
+    # An id goes stale when its scope is renamed or its swap is removed.
     survivors = json.loads((ROOT / "tests" / "data" / "mutant_survivors.json").read_text())
     listed = {survivor["id"] for survivor in survivors}
     modules = {ident.split(".py:")[0] for ident in listed}
